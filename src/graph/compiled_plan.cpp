@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <memory>
 
 #include "common/task_scheduler.hpp"
 #include "common/timer.hpp"
 #include "graph/validate.hpp"
 #include "gemm/gemm.hpp"
+#include "nn/elementwise.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -411,47 +411,25 @@ void CompiledPlan::execute_node(std::size_t id, const Tensor& input,
       return;
     }
     case OpKind::kMaxPool: {
-      const std::size_t ih = node.in_sample[1], iw = node.in_sample[2];
-      const std::size_t oh = node.out_sample[1], ow = node.out_sample[2];
-      const std::size_t planes = batch * node.in_sample[0];
-      const std::size_t k = node.pool_kernel, s = node.pool_stride;
-      for (std::size_t pl = 0; pl < planes; ++pl) {
-        const float* in_plane = src + pl * ih * iw;
-        float* out_plane = dst + pl * oh * ow;
-        for (std::size_t y = 0; y < oh; ++y) {
-          for (std::size_t x = 0; x < ow; ++x) {
-            float best = -std::numeric_limits<float>::infinity();
-            for (std::size_t ky = 0; ky < k; ++ky) {
-              const float* row = in_plane + (y * s + ky) * iw + x * s;
-              for (std::size_t kx = 0; kx < k; ++kx) {
-                best = std::max(best, row[kx]);
-              }
-            }
-            out_plane[y * ow + x] = best;
-          }
-        }
-      }
+      nn::PoolGeom g;
+      g.planes = batch * node.in_sample[0];
+      g.ih = node.in_sample[1];
+      g.iw = node.in_sample[2];
+      g.oh = node.out_sample[1];
+      g.ow = node.out_sample[2];
+      g.kernel = node.pool_kernel;
+      g.stride = node.pool_stride;
+      nn::maxpool_forward(g, src, dst, /*argmax=*/nullptr, sched());
       return;
     }
-    case OpKind::kGlobalPool: {
-      const std::size_t plane = node.in_sample[1] * node.in_sample[2];
-      const std::size_t planes = batch * node.in_sample[0];
-      const float inv = 1.0f / static_cast<float>(plane);
-      for (std::size_t pl = 0; pl < planes; ++pl) {
-        const float* in_plane = src + pl * plane;
-        double sum = 0.0;
-        for (std::size_t i = 0; i < plane; ++i) sum += in_plane[i];
-        dst[pl] = static_cast<float>(sum) * inv;
-      }
+    case OpKind::kGlobalPool:
+      nn::global_avg_pool_forward(src, dst, batch * node.in_sample[0],
+                                  node.in_sample[1] * node.in_sample[2],
+                                  sched());
       return;
-    }
-    case OpKind::kRelu: {
-      const std::size_t n = batch * node.out_sample.numel();
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
-      }
+    case OpKind::kRelu:
+      nn::relu_forward(src, dst, batch * node.out_sample.numel(), sched());
       return;
-    }
     case OpKind::kSigmoid: {
       const std::size_t n = batch * node.out_sample.numel();
       for (std::size_t i = 0; i < n; ++i) {

@@ -2,24 +2,20 @@
 
 #include <cmath>
 
+#include "nn/elementwise.hpp"
+
 namespace pf15::nn {
 
 void ReLU::forward(const Tensor& in, Tensor& out) {
   ensure_shape(out, in.shape());
-  const float* __restrict__ src = in.data();
-  float* __restrict__ dst = out.data();
-  const std::size_t n = in.numel();
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+  relu_forward(in.data(), out.data(), in.numel(), TaskScheduler::global());
 }
 
 void ReLU::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   PF15_CHECK(dout.shape() == in.shape());
   ensure_shape(din, in.shape());
-  const float* __restrict__ x = in.data();
-  const float* __restrict__ g = dout.data();
-  float* __restrict__ dst = din.data();
-  const std::size_t n = in.numel();
-  for (std::size_t i = 0; i < n; ++i) dst[i] = x[i] > 0.0f ? g[i] : 0.0f;
+  relu_backward(in.data(), dout.data(), din.data(), in.numel(),
+                TaskScheduler::global());
 }
 
 void Sigmoid::forward(const Tensor& in, Tensor& out) {

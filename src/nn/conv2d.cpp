@@ -1,8 +1,9 @@
 #include "nn/conv2d.hpp"
 
-#include "common/thread_pool.hpp"
+#include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/winograd.hpp"
+#include "nn/elementwise.hpp"
 
 namespace pf15::nn {
 
@@ -143,7 +144,7 @@ void Conv2d::forward(const Tensor& in, Tensor& out) {
   // Per-image work (lowering, transforms, per-image GEMM) spreads across
   // the scheduler; each image's backend may fan out further beneath it
   // (nested waits are legal — the outer chunks' wait helps).
-  ThreadPool::global().parallel_for(0, n_img, [&](std::size_t img) {
+  TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
     be.forward_prepared(p, prep.get(), in.data() + img * in_img,
                         weight_.data(), bias, out.data() + img * out_img,
                         /*parallel_ok=*/true);
@@ -169,7 +170,7 @@ void Conv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   last_backward_data_backend_ = dkind;
   const std::unique_ptr<gemm::ConvPrep> dprep =
       dbe.prepare_backward_data(p, weight_.data());
-  ThreadPool::global().parallel_for(0, n_img, [&](std::size_t img) {
+  TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
     dbe.backward_data_prepared(p, dprep.get(),
                                dout.data() + img * out_img,
                                weight_.data(), din.data() + img * in_img,
@@ -182,19 +183,16 @@ void Conv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
       backward_backend(in.shape(), ConvPhase::kBackwardFilter);
   const gemm::ConvBackend& fbe = gemm::backend(fkind);
   last_backward_filter_backend_ = fkind;
-  const std::size_t plane = p.geom.lowered_cols();
   for (std::size_t img = 0; img < n_img; ++img) {
-    const float* dout_img = dout.data() + img * out_img;
-    fbe.backward_filter(p, in.data() + img * in_img, dout_img,
-                        weight_grad_.data(), /*parallel_ok=*/true);
-    if (cfg_.bias) {
-      for (std::size_t oc = 0; oc < p.out_c; ++oc) {
-        double s = 0.0;
-        const float* row = dout_img + oc * plane;
-        for (std::size_t i = 0; i < plane; ++i) s += row[i];
-        bias_grad_.data()[oc] += static_cast<float>(s);
-      }
-    }
+    fbe.backward_filter(p, in.data() + img * in_img,
+                        dout.data() + img * out_img, weight_grad_.data(),
+                        /*parallel_ok=*/true);
+  }
+  // Bias gradient: independent per channel, so channels fan out while
+  // each keeps the serial image order.
+  if (cfg_.bias) {
+    bias_grad_accumulate(dout.data(), n_img, p.out_c, p.geom.lowered_cols(),
+                         bias_grad_.data(), TaskScheduler::global());
   }
 }
 

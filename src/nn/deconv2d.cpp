@@ -1,8 +1,9 @@
 #include "nn/deconv2d.hpp"
 
-#include "common/thread_pool.hpp"
+#include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/winograd.hpp"
+#include "nn/elementwise.hpp"
 
 namespace pf15::nn {
 
@@ -110,7 +111,7 @@ void Deconv2d::forward(const Tensor& in, Tensor& out) {
   };
   // Images fan across the scheduler; each backend may fan out further
   // beneath its image (nested waits are legal).
-  ThreadPool::global().parallel_for(
+  TaskScheduler::global().parallel_for(
       0, n_img, [&](std::size_t img) { one_image(img); });
 }
 
@@ -128,7 +129,7 @@ void Deconv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   const gemm::ConvBackendKind dkind =
       phase_backend(in.shape(), ConvPhase::kForward);
   const gemm::ConvBackend& dbe = gemm::backend(dkind);
-  ThreadPool::global().parallel_for(0, n_img, [&](std::size_t img) {
+  TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
     dbe.forward(p, dout.data() + img * out_img, weight_.data(), nullptr,
                 din.data() + img * in_img, /*parallel_ok=*/true);
   });
@@ -138,19 +139,16 @@ void Deconv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   const gemm::ConvBackendKind fkind =
       phase_backend(in.shape(), ConvPhase::kBackwardFilter);
   const gemm::ConvBackend& fbe = gemm::backend(fkind);
-  const std::size_t plane = p.geom.in_h * p.geom.in_w;
   for (std::size_t img = 0; img < n_img; ++img) {
-    const float* dout_img = dout.data() + img * out_img;
-    fbe.backward_filter(p, dout_img, in.data() + img * in_img,
-                        weight_grad_.data(), /*parallel_ok=*/true);
-    if (cfg_.bias) {
-      for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
-        double s = 0.0;
-        const float* row = dout_img + oc * plane;
-        for (std::size_t i = 0; i < plane; ++i) s += row[i];
-        bias_grad_.data()[oc] += static_cast<float>(s);
-      }
-    }
+    fbe.backward_filter(p, dout.data() + img * out_img,
+                        in.data() + img * in_img, weight_grad_.data(),
+                        /*parallel_ok=*/true);
+  }
+  // Bias gradient: channels fan out, each in serial image order.
+  if (cfg_.bias) {
+    bias_grad_accumulate(dout.data(), n_img, cfg_.out_channels,
+                         p.geom.in_h * p.geom.in_w, bias_grad_.data(),
+                         TaskScheduler::global());
   }
 }
 

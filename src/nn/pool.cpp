@@ -1,7 +1,5 @@
 #include "nn/pool.hpp"
 
-#include <limits>
-
 namespace pf15::nn {
 
 MaxPool2d::MaxPool2d(std::string name, std::size_t kernel,
@@ -17,37 +15,24 @@ Shape MaxPool2d::output_shape(const Shape& in) const {
                (in.w() - kernel_) / stride_ + 1};
 }
 
+PoolGeom MaxPool2d::geom(const Shape& in) const {
+  const Shape os = output_shape(in);
+  PoolGeom g;
+  g.planes = in.n() * in.c();
+  g.ih = in.h();
+  g.iw = in.w();
+  g.oh = os.h();
+  g.ow = os.w();
+  g.kernel = kernel_;
+  g.stride = stride_;
+  return g;
+}
+
 void MaxPool2d::forward(const Tensor& in, Tensor& out) {
-  const Shape os = output_shape(in.shape());
-  ensure_shape(out, os);
-  argmax_.assign(out.numel(), 0);
-  const std::size_t ih = in.shape().h(), iw = in.shape().w();
-  const std::size_t oh = os.h(), ow = os.w();
-  const std::size_t planes = in.shape().n() * in.shape().c();
-  for (std::size_t p = 0; p < planes; ++p) {
-    const float* src = in.data() + p * ih * iw;
-    float* dst = out.data() + p * oh * ow;
-    std::size_t* arg = argmax_.data() + p * oh * ow;
-    for (std::size_t y = 0; y < oh; ++y) {
-      for (std::size_t x = 0; x < ow; ++x) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
-        for (std::size_t ky = 0; ky < kernel_; ++ky) {
-          const std::size_t sy = y * stride_ + ky;
-          for (std::size_t kx = 0; kx < kernel_; ++kx) {
-            const std::size_t sx = x * stride_ + kx;
-            const std::size_t idx = sy * iw + sx;
-            if (src[idx] > best) {
-              best = src[idx];
-              best_idx = idx;
-            }
-          }
-        }
-        dst[y * ow + x] = best;
-        arg[y * ow + x] = p * ih * iw + best_idx;
-      }
-    }
-  }
+  ensure_shape(out, output_shape(in.shape()));
+  argmax_.resize(out.numel());  // every element is written
+  maxpool_forward(geom(in.shape()), in.data(), out.data(), argmax_.data(),
+                  TaskScheduler::global());
 }
 
 void MaxPool2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
@@ -55,10 +40,8 @@ void MaxPool2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   PF15_CHECK_MSG(argmax_.size() == dout.numel(),
                  name_ << ": backward without matching forward");
   ensure_shape(din, in.shape());
-  din.zero();
-  for (std::size_t i = 0; i < dout.numel(); ++i) {
-    din.data()[argmax_[i]] += dout.data()[i];
-  }
+  maxpool_backward(geom(in.shape()), dout.data(), argmax_.data(), din.data(),
+                   TaskScheduler::global());
 }
 
 std::uint64_t MaxPool2d::forward_flops(const Shape& in) const {
@@ -78,29 +61,20 @@ Shape GlobalAvgPool::output_shape(const Shape& in) const {
 
 void GlobalAvgPool::forward(const Tensor& in, Tensor& out) {
   ensure_shape(out, output_shape(in.shape()));
-  const std::size_t plane = in.shape().h() * in.shape().w();
-  const std::size_t planes = in.shape().n() * in.shape().c();
-  const float inv = 1.0f / static_cast<float>(plane);
-  for (std::size_t p = 0; p < planes; ++p) {
-    const float* src = in.data() + p * plane;
-    double s = 0.0;
-    for (std::size_t i = 0; i < plane; ++i) s += src[i];
-    out.data()[p] = static_cast<float>(s) * inv;
-  }
+  global_avg_pool_forward(in.data(), out.data(),
+                          in.shape().n() * in.shape().c(),
+                          in.shape().h() * in.shape().w(),
+                          TaskScheduler::global());
 }
 
 void GlobalAvgPool::backward(const Tensor& in, const Tensor& dout,
                              Tensor& din) {
   PF15_CHECK(dout.shape() == output_shape(in.shape()));
   ensure_shape(din, in.shape());
-  const std::size_t plane = in.shape().h() * in.shape().w();
-  const std::size_t planes = in.shape().n() * in.shape().c();
-  const float inv = 1.0f / static_cast<float>(plane);
-  for (std::size_t p = 0; p < planes; ++p) {
-    const float g = dout.data()[p] * inv;
-    float* dst = din.data() + p * plane;
-    for (std::size_t i = 0; i < plane; ++i) dst[i] = g;
-  }
+  global_avg_pool_backward(dout.data(), din.data(),
+                           in.shape().n() * in.shape().c(),
+                           in.shape().h() * in.shape().w(),
+                           TaskScheduler::global());
 }
 
 std::uint64_t GlobalAvgPool::forward_flops(const Shape& in) const {

@@ -2,9 +2,11 @@
 // pooling (last HEP unit) per §III-A.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "nn/elementwise.hpp"
 #include "nn/layer.hpp"
 
 namespace pf15::nn {
@@ -25,12 +27,14 @@ class MaxPool2d final : public Layer {
   std::size_t stride() const { return stride_; }
 
  private:
+  PoolGeom geom(const Shape& in) const;
+
   std::string name_;
   std::size_t kernel_;
   std::size_t stride_;
-  // Flat input index of the max element for every output element of the
-  // latest forward() — consumed by backward().
-  std::vector<std::size_t> argmax_;
+  // Index within its input plane of the max element for every output
+  // element of the latest forward() — consumed by backward().
+  std::vector<std::uint32_t> argmax_;
 };
 
 /// Collapses each channel plane to its mean: (N, C, H, W) -> (N, C, 1, 1).

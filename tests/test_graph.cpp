@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -831,6 +832,37 @@ TEST(CompiledPlan, DeconvChainMatchesEager) {
   EXPECT_EQ(plan.report().passes.fused_activations, 1u);
   const Tensor input = random_input(Shape{3, 4, 8, 8}, 0xf);
   EXPECT_LE(max_rel_diff(plan.run(input), net.forward(input)), 1e-4);
+}
+
+TEST(CompiledPlan, SharedPoolAndReluKernelsMatchEagerBitExact) {
+  // ReLU, max pool (overlapping 3x3/2 and the HEP 2x2/2) and global
+  // pooling run one shared kernel on both paths; at batch 16 every one
+  // of them fans out over the scheduler. Without the global pool the
+  // pooled map itself is the output.
+  for (const bool with_gap : {false, true}) {
+    nn::Sequential net;
+    net.add(std::make_unique<nn::ReLU>("relu1"));
+    net.add(std::make_unique<nn::MaxPool2d>("pool1", 3, 2));
+    net.add(std::make_unique<nn::ReLU>("relu2"));
+    net.add(std::make_unique<nn::MaxPool2d>("pool2", 2, 2));
+    if (with_gap) net.add(std::make_unique<nn::GlobalAvgPool>("gap"));
+    net.set_training(false);
+    const Shape sample{8, 67, 65};
+    graph::CompileOptions opt;
+    opt.max_batch = 16;
+    graph::CompiledPlan plan = graph::compile(net, sample, opt);
+    for (const std::size_t batch : {1u, 16u}) {
+      const Tensor input =
+          random_input(with_batch(sample, batch), 0x5a + batch);
+      const Tensor& want = net.forward(input);
+      const Tensor& got = plan.run(input);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.numel() * sizeof(float)),
+                0)
+          << "gap " << with_gap << " batch " << batch;
+    }
+  }
 }
 
 TEST(CompiledPlan, SecondPlanIsBornWarm) {

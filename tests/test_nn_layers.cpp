@@ -4,7 +4,11 @@
 
 #include "check_failure.hpp"
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "gemm/gemm.hpp"
 #include "gradient_check.hpp"
@@ -349,6 +353,233 @@ TEST(LayerFlops, DenseFormula) {
   Dense fc("f", 128, 2, rng);
   const Shape in{8, 128};
   EXPECT_EQ(fc.forward_flops(in), 2ull * 8 * 2 * 128 + 8 * 2);
+}
+
+// ------------------------------------------------------- Bit-exactness
+// The memory-bound layers fan out over the scheduler with branch-free
+// inner loops. Each result must match, bit for bit, a frozen copy of the
+// serial loop it replaced, including NaN, signed zeros, infinities and
+// tied maxima, at sizes that are not a multiple of a chunk or SIMD width.
+
+/// A mix of special values, ties and ordinary values.
+Tensor hostile_input(const Shape& s, std::uint64_t seed) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float special[] = {std::numeric_limits<float>::quiet_NaN(),
+                           0.0f, -0.0f, kInf, -kInf, 1.0f, -1.0f, 0.5f};
+  Rng rng(seed);
+  Tensor t(s);
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    const std::uint64_t pick = rng.uniform_int(16);
+    t.at(i) = pick < 8 ? special[pick] : rng.uniform(-2.0f, 2.0f);
+  }
+  return t;
+}
+
+/// Bitwise equality, except that any two NaNs match: IEEE 754 leaves the
+/// sign and payload of a NaN sum unspecified, and the compiler may
+/// commute an addition, so even the old loop's NaN bits vary by build.
+void expect_bits_equal(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  if (std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)) ==
+      0) {
+    return;
+  }
+  for (std::size_t i = 0; i < got.numel(); ++i) {
+    if (std::isnan(got.at(i)) && std::isnan(want.at(i))) continue;
+    std::uint32_t g = 0, w = 0;
+    std::memcpy(&g, got.data() + i, sizeof g);
+    std::memcpy(&w, want.data() + i, sizeof w);
+    ASSERT_EQ(g, w) << "first differing element " << i << ": " << got.at(i)
+                    << " vs " << want.at(i);
+  }
+}
+
+Tensor old_relu_forward(const Tensor& in) {
+  Tensor out(in.shape());
+  for (std::size_t i = 0; i < in.numel(); ++i) {
+    out.data()[i] = in.data()[i] > 0.0f ? in.data()[i] : 0.0f;
+  }
+  return out;
+}
+
+Tensor old_relu_backward(const Tensor& in, const Tensor& dout) {
+  Tensor din(in.shape());
+  for (std::size_t i = 0; i < in.numel(); ++i) {
+    din.data()[i] = in.data()[i] > 0.0f ? dout.data()[i] : 0.0f;
+  }
+  return din;
+}
+
+TEST(BitExact, ReluMatchesSerialLoop) {
+  // Around the 16384-element task piece and the 4/8-lane SIMD widths.
+  for (const std::size_t n : {1u, 7u, 33u, 16383u, 16384u, 16385u, 100003u}) {
+    const Tensor in = hostile_input(Shape{n}, 0x1e1u + n);
+    const Tensor dout = hostile_input(Shape{n}, 0x2e1u + n);
+    ReLU relu("r");
+    Tensor out, din;
+    relu.forward(in, out);
+    relu.backward(in, dout, din);
+    expect_bits_equal(out, old_relu_forward(in));
+    expect_bits_equal(din, old_relu_backward(in, dout));
+  }
+}
+
+/// The serial max pool with flat size_t argmax that MaxPool2d ran before.
+void old_maxpool(const Tensor& in, std::size_t k, std::size_t s,
+                 const Tensor& dout, Tensor& out, Tensor& din) {
+  const Shape& is = in.shape();
+  const std::size_t ih = is.h(), iw = is.w();
+  const std::size_t oh = (ih - k) / s + 1, ow = (iw - k) / s + 1;
+  out = Tensor(Shape{is.n(), is.c(), oh, ow});
+  std::vector<std::size_t> argmax(out.numel());
+  for (std::size_t p = 0; p < is.n() * is.c(); ++p) {
+    const float* src = in.data() + p * ih * iw;
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t x = 0; x < ow; ++x) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = 0;
+        for (std::size_t ky = 0; ky < k; ++ky) {
+          for (std::size_t kx = 0; kx < k; ++kx) {
+            const std::size_t idx = (y * s + ky) * iw + x * s + kx;
+            if (src[idx] > best) {
+              best = src[idx];
+              best_idx = idx;
+            }
+          }
+        }
+        out.data()[p * oh * ow + y * ow + x] = best;
+        argmax[p * oh * ow + y * ow + x] = p * ih * iw + best_idx;
+      }
+    }
+  }
+  din = Tensor(is);
+  din.zero();
+  for (std::size_t i = 0; i < dout.numel(); ++i) {
+    din.data()[argmax[i]] += dout.data()[i];
+  }
+}
+
+TEST(BitExact, MaxPoolMatchesSerialLoop) {
+  struct Case {
+    Shape in;
+    std::size_t kernel, stride;
+  };
+  // Odd sizes, the HEP 2x2/2 pool, overlapping 3x3/2 windows (an input
+  // collects several gradients) and 2x2/1, each large enough to fan out.
+  const Case cases[] = {{Shape{1, 1, 5, 7}, 2, 2},
+                        {Shape{8, 16, 34, 34}, 2, 2},
+                        {Shape{3, 5, 33, 31}, 3, 2},
+                        {Shape{8, 16, 17, 19}, 3, 2},
+                        {Shape{2, 9, 23, 21}, 2, 1}};
+  std::uint64_t seed = 0x9001;
+  for (const Case& c : cases) {
+    const Tensor in = hostile_input(c.in, seed++);
+    MaxPool2d pool("p", c.kernel, c.stride);
+    Tensor out, din;
+    pool.forward(in, out);
+    const Tensor dout = hostile_input(out.shape(), seed++);
+    pool.backward(in, dout, din);
+    Tensor want_out, want_din;
+    old_maxpool(in, c.kernel, c.stride, dout, want_out, want_din);
+    expect_bits_equal(out, want_out);
+    expect_bits_equal(din, want_din);
+  }
+}
+
+TEST(BitExact, MaxPoolFirstOfTiedMaximaWins) {
+  // All-equal windows: the gradient goes to each window's first tap.
+  // All-NaN windows select nothing and report -inf, as before.
+  MaxPool2d pool("p", 2, 2);
+  Tensor in(Shape{1, 2, 4, 4});
+  for (std::size_t i = 0; i < 16; ++i) in.at(i) = 3.0f;
+  for (std::size_t i = 16; i < 32; ++i) {
+    in.at(i) = std::numeric_limits<float>::quiet_NaN();
+  }
+  Tensor out, din;
+  pool.forward(in, out);
+  Tensor dout(out.shape());
+  dout.fill(1.0f);
+  pool.backward(in, dout, din);
+  for (std::size_t y = 0; y < 4; ++y) {
+    for (std::size_t x = 0; x < 4; ++x) {
+      const bool first = y % 2 == 0 && x % 2 == 0;
+      EXPECT_EQ(din.at(y * 4 + x), first ? 1.0f : 0.0f) << y << "," << x;
+    }
+  }
+  for (std::size_t i = 4; i < 8; ++i) {
+    EXPECT_EQ(out.at(i), -std::numeric_limits<float>::infinity());
+  }
+  // Every NaN-plane window's gradient lands on its plane's element 0.
+  EXPECT_EQ(din.at(16), 4.0f);
+}
+
+TEST(BitExact, GlobalAvgPoolMatchesSerialLoop) {
+  const Tensor in = random_input(Shape{8, 64, 9, 9});
+  GlobalAvgPool gap("g");
+  Tensor out, din;
+  gap.forward(in, out);
+  const Tensor dout = random_input(out.shape(), 78);
+  gap.backward(in, dout, din);
+  Tensor want_out(out.shape()), want_din(in.shape());
+  const std::size_t plane = 81;
+  const float inv = 1.0f / static_cast<float>(plane);
+  for (std::size_t p = 0; p < 8 * 64; ++p) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < plane; ++i) s += in.data()[p * plane + i];
+    want_out.data()[p] = static_cast<float>(s) * inv;
+    const float g = dout.data()[p] * inv;
+    for (std::size_t i = 0; i < plane; ++i) want_din.data()[p * plane + i] = g;
+  }
+  expect_bits_equal(out, want_out);
+  expect_bits_equal(din, want_din);
+}
+
+/// The serial per-image bias-gradient accumulation both conv layers ran.
+void old_bias_grad(const Tensor& dout, Tensor& grad) {
+  const std::size_t n = dout.shape().n(), c = dout.shape().c();
+  const std::size_t plane = dout.shape().h() * dout.shape().w();
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t oc = 0; oc < c; ++oc) {
+      double s = 0.0;
+      const float* row = dout.data() + (img * c + oc) * plane;
+      for (std::size_t i = 0; i < plane; ++i) s += row[i];
+      grad.data()[oc] += static_cast<float>(s);
+    }
+  }
+}
+
+/// Two backward passes (the second accumulates onto the first) must
+/// leave the bias gradient bit-identical to the serial loop's.
+void expect_bias_grad_bit_exact(Layer& layer, const Shape& in_shape) {
+  const Tensor in = random_input(in_shape, 0xb1a5);
+  Tensor out, din;
+  layer.forward(in, out);
+  const Tensor dout = random_input(out.shape(), 0xb1a6);
+  Param bias = layer.params()[1];
+  ASSERT_EQ(bias.name, layer.name() + ".bias");
+  bias.grad->fill(0.25f);
+  Tensor want = bias.grad->clone();
+  for (int pass = 0; pass < 2; ++pass) {
+    layer.backward(in, dout, din);
+    old_bias_grad(dout, want);
+  }
+  expect_bits_equal(*bias.grad, want);
+}
+
+TEST(BitExact, ConvBiasGradMatchesSerialLoop) {
+  for (const std::size_t batch : {1u, 8u}) {
+    Rng rng(21);
+    Conv2d conv("c", {3, 16, 3, 1, 1, true}, rng);
+    expect_bias_grad_bit_exact(conv, Shape{batch, 3, 48, 48});
+  }
+}
+
+TEST(BitExact, DeconvBiasGradMatchesSerialLoop) {
+  for (const std::size_t batch : {1u, 8u}) {
+    Rng rng(22);
+    Deconv2d dc("d", {8, 8, 6, 2, 2, true}, rng);
+    expect_bias_grad_bit_exact(dc, Shape{batch, 8, 16, 16});
+  }
 }
 
 TEST(LayerFlops, BatchScalesLinearly) {
