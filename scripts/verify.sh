@@ -105,11 +105,12 @@ if [ -n "$sanitize" ]; then
     # serving stack, observability, the work-stealing scheduler, the
     # parallel graph executor, hybrid parallelism, comm, the parameter
     # server, the layers (ReLU, pooling and bias gradients fan out on the
-    # scheduler) — and the dispatched kernel tier (its cpuid probe and
-    # kernel tables are lazily-initialized shared state).
+    # scheduler; conv/deconv backward runs concurrent image tasks), the
+    # HEP and climate training steps — and the dispatched kernel tier (its
+    # cpuid probe and kernel tables are lazily-initialized shared state).
     (cd "$build_dir" && \
      TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j"$jobs" -R \
-        'test_(serve|obs|obs_distributed|common|task_scheduler|graph|graph_validate|hybrid|comm|ps|conv_backend|simd|nn_layers|nn_extended)$') \
+        'test_(serve|obs|obs_distributed|common|task_scheduler|graph|graph_validate|hybrid|comm|ps|conv_backend|simd|nn_layers|nn_extended|nn_models)$') \
         || { echo "FAIL: TSan lane found problems" >&2; exit 8; }
   fi
   echo "$sanitize lane clean: zero findings"

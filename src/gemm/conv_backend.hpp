@@ -101,8 +101,9 @@ class ConvPrep {
 /// All entry points take `parallel_ok`: it permits internal fan-out on
 /// the global task scheduler. Nested waits are legal on the scheduler
 /// (waiting executes pending work), so parallel_ok=true is safe at any
-/// nesting depth — the hot paths pass true everywhere; false forces a
-/// strictly serial call (tests, mode-controlled timing).
+/// nesting depth; false forces a strictly serial call (tests,
+/// mode-controlled timing, and the per-image tasks of the conv/deconv
+/// backward pass).
 class ConvBackend {
  public:
   virtual ~ConvBackend() = default;

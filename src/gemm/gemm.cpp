@@ -7,7 +7,7 @@
 
 #include "common/aligned.hpp"
 #include "common/errors.hpp"
-#include "common/thread_pool.hpp"
+#include "common/task_scheduler.hpp"
 #include "gemm/simd.hpp"
 
 namespace pf15::gemm {
@@ -137,9 +137,9 @@ void sgemm_parallel(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                     std::size_t lda, const float* b, std::size_t ldb,
                     float beta, float* c, std::size_t ldc) {
   const std::uint64_t work = flops(m, n, k);
-  ThreadPool& pool = ThreadPool::global();
+  TaskScheduler& sched = TaskScheduler::global();
   // Below ~8 MFLOP the packing + scheduling overhead dominates.
-  if (pool.size() <= 1 || work < (8ull << 20) || m < 2 * MC) {
+  if (sched.size() <= 1 || work < (8ull << 20) || m < 2 * MC) {
     sgemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }
@@ -147,9 +147,9 @@ void sgemm_parallel(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   const GemmKernels& ker = gemm_kernels();
   const std::size_t blocks = (m + MC - 1) / MC;
   const std::size_t per_task =
-      std::max<std::size_t>(1, blocks / (pool.size() * 2));
+      std::max<std::size_t>(1, blocks / (sched.size() * 2));
   const std::size_t tasks = (blocks + per_task - 1) / per_task;
-  pool.parallel_for(0, tasks, [&](std::size_t t) {
+  sched.parallel_for(0, tasks, [&](std::size_t t) {
     const std::size_t m0 = t * per_task * MC;
     const std::size_t m1 = std::min(m, (t + 1) * per_task * MC);
     if (m0 < m1) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/errors.hpp"
-#include "common/thread_pool.hpp"
+#include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/scratch.hpp"
 #include "gemm/simd.hpp"
@@ -292,7 +292,7 @@ void transform_inputs(const float* image, std::size_t in_c, std::size_t h,
 template <typename Fn>
 void for_each_position(int positions, bool parallel_ok, const Fn& fn) {
   if (parallel_ok) {
-    ThreadPool::global().parallel_for(
+    TaskScheduler::global().parallel_for(
         0, static_cast<std::size_t>(positions),
         [&](std::size_t k) { fn(static_cast<int>(k)); });
   } else {

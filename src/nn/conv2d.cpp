@@ -1,7 +1,10 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
+
 #include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
+#include "gemm/scratch.hpp"
 #include "gemm/winograd.hpp"
 #include "nn/elementwise.hpp"
 
@@ -57,6 +60,20 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
   return cached.has_value() ? cached->kind : gemm::ConvBackendKind::kIm2col;
 }
 
+void conv_backward_images(
+    std::size_t n_img, std::size_t grad_elems, float* grad,
+    const std::function<void(std::size_t img, float* partial)>& image) {
+  // Taken on the calling thread, which also returns it after the wait.
+  gemm::ScratchLease partials(n_img * grad_elems);
+  TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
+    float* partial = partials.data() + img * grad_elems;
+    std::fill(partial, partial + grad_elems, 0.0f);
+    image(img, partial);
+  });
+  accumulate_image_partials(partials.data(), n_img, grad_elems, grad,
+                            TaskScheduler::global());
+}
+
 Conv2d::Conv2d(std::string name, const Conv2dConfig& cfg, Rng& rng)
     : name_(std::move(name)),
       cfg_(cfg),
@@ -107,14 +124,15 @@ gemm::ConvBackendKind Conv2d::resolve_backend(const Shape& in,
 
 gemm::ConvBackendKind Conv2d::forward_backend(const Shape& in) const {
   // Nested waits are legal on the task scheduler, so backends may fan
-  // out internally even under the batch-parallel loop: one execution
-  // mode, parallel_ok=true everywhere on the hot path.
+  // out internally even under the batch-parallel loop.
   return resolve_backend(in, ConvPhase::kForward, /*parallel_ok=*/true);
 }
 
 gemm::ConvBackendKind Conv2d::backward_backend(const Shape& in,
                                                ConvPhase phase) const {
   PF15_CHECK(phase != ConvPhase::kForward);
+  // Looked up under the parallel_ok=true key although backward() runs
+  // the backend serially inside each image task.
   return resolve_backend(in, phase, /*parallel_ok=*/true);
 }
 
@@ -160,34 +178,32 @@ void Conv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   const std::size_t in_img = p.geom.in_c * p.geom.in_h * p.geom.in_w;
   const std::size_t out_img = p.out_c * p.geom.lowered_cols();
 
-  // Data gradient: independent per image, so it fans across the pool
-  // exactly like forward. The backend overwrites each din image.
-  // Weight-only work (Winograd's rotated/transformed filter bank) hoists
-  // out of the batch loop, mirroring the prepare_forward hoist.
   const gemm::ConvBackendKind dkind =
       backward_backend(in.shape(), ConvPhase::kBackwardData);
   const gemm::ConvBackend& dbe = gemm::backend(dkind);
   last_backward_data_backend_ = dkind;
-  const std::unique_ptr<gemm::ConvPrep> dprep =
-      dbe.prepare_backward_data(p, weight_.data());
-  TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
-    dbe.backward_data_prepared(p, dprep.get(),
-                               dout.data() + img * out_img,
-                               weight_.data(), din.data() + img * in_img,
-                               /*parallel_ok=*/true);
-  });
-
-  // Filter gradient: accumulates into shared weight_grad_, so the image
-  // loop stays serial and the backend parallelizes internally instead.
   const gemm::ConvBackendKind fkind =
       backward_backend(in.shape(), ConvPhase::kBackwardFilter);
   const gemm::ConvBackend& fbe = gemm::backend(fkind);
   last_backward_filter_backend_ = fkind;
-  for (std::size_t img = 0; img < n_img; ++img) {
-    fbe.backward_filter(p, in.data() + img * in_img,
-                        dout.data() + img * out_img, weight_grad_.data(),
-                        /*parallel_ok=*/true);
-  }
+  // Weight-only work (Winograd's rotated/transformed filter bank) hoists
+  // out of the batch loop, mirroring the prepare_forward hoist.
+  const std::unique_ptr<gemm::ConvPrep> dprep =
+      dbe.prepare_backward_data(p, weight_.data());
+
+  // Per image: the data gradient (the backend overwrites the din image),
+  // then the filter gradient into the image's partial.
+  conv_backward_images(
+      n_img, weight_grad_.numel(), weight_grad_.data(),
+      [&](std::size_t img, float* partial) {
+        dbe.backward_data_prepared(p, dprep.get(),
+                                   dout.data() + img * out_img,
+                                   weight_.data(), din.data() + img * in_img,
+                                   /*parallel_ok=*/false);
+        fbe.backward_filter(p, in.data() + img * in_img,
+                            dout.data() + img * out_img, partial,
+                            /*parallel_ok=*/false);
+      });
   // Bias gradient: independent per channel, so channels fan out while
   // each keeps the serial image order.
   if (cfg_.bias) {

@@ -7,12 +7,15 @@
 // applicable backends the first time a (problem, phase) is seen and
 // remembers the winner — forward, backward-data and backward-filter tune
 // independently (the cuDNN per-op-phase model), so training inherits the
-// measured backend wins, not just inference. The batch loops fan across
-// the global task scheduler where accumulation allows it, and backends
-// may fan out further beneath each image — nested waits are legal on the
-// scheduler, so parallel_ok is true throughout the hot path.
+// measured backend wins, not just inference. Both passes fan their
+// images across the global task scheduler. Forward backends may fan out
+// further beneath each image (nested waits are legal on the scheduler).
+// Backward runs each image's data and filter gradient serially in one
+// task, the filter gradient into a per-image partial that is added onto
+// the weight gradient in image order.
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "gemm/conv_backend.hpp"
@@ -60,6 +63,19 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
                                            gemm::ConvPhase phase,
                                            bool parallel_ok,
                                            std::size_t batch = 1);
+
+/// The image loop of Conv2d and Deconv2d backward. Runs image(img,
+/// partial) for every img in [0, n_img) as tasks on the global scheduler;
+/// `partial` is that image's private zeroed buffer of `grad_elems` floats
+/// for its filter gradient. The partials are then added onto `grad` in
+/// image order (accumulate_image_partials), so the result is
+/// bit-identical for any scheduler width. `image` should call its
+/// backends with parallel_ok=false: the images already fill the workers,
+/// and nested fan-out would stack another image's scratch leases on each
+/// helping thread.
+void conv_backward_images(
+    std::size_t n_img, std::size_t grad_elems, float* grad,
+    const std::function<void(std::size_t img, float* partial)>& image);
 
 class Conv2d final : public Layer {
  public:

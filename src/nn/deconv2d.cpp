@@ -67,8 +67,9 @@ gemm::ConvBackendKind Deconv2d::resolve_backend(const Shape& in,
 
 gemm::ConvBackendKind Deconv2d::phase_backend(const Shape& in,
                                               ConvPhase phase) const {
-  // One execution mode: nested waits are legal on the task scheduler,
-  // so backends may always fan out internally.
+  // Every phase looks its plan up under the parallel_ok=true key;
+  // forward() lets the backend fan out, backward() runs it serially per
+  // image.
   return resolve_backend(in, phase, /*parallel_ok=*/true);
 }
 
@@ -125,25 +126,24 @@ void Deconv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   const std::size_t out_img =
       cfg_.out_channels * p.geom.in_h * p.geom.in_w;
 
-  // din == conv forward of the output gradient.
+  // din == conv forward of the output gradient; dW == conv backward-filter
+  // with the conv's (image, dout) = (deconv output gradient, deconv input).
   const gemm::ConvBackendKind dkind =
       phase_backend(in.shape(), ConvPhase::kForward);
   const gemm::ConvBackend& dbe = gemm::backend(dkind);
-  TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
-    dbe.forward(p, dout.data() + img * out_img, weight_.data(), nullptr,
-                din.data() + img * in_img, /*parallel_ok=*/true);
-  });
-
-  // dW == conv backward-filter with the conv's (image, dout) =
-  // (deconv output gradient, deconv input). Accumulates, so serial.
   const gemm::ConvBackendKind fkind =
       phase_backend(in.shape(), ConvPhase::kBackwardFilter);
   const gemm::ConvBackend& fbe = gemm::backend(fkind);
-  for (std::size_t img = 0; img < n_img; ++img) {
-    fbe.backward_filter(p, dout.data() + img * out_img,
-                        in.data() + img * in_img, weight_grad_.data(),
-                        /*parallel_ok=*/true);
-  }
+
+  conv_backward_images(
+      n_img, weight_grad_.numel(), weight_grad_.data(),
+      [&](std::size_t img, float* partial) {
+        dbe.forward(p, dout.data() + img * out_img, weight_.data(), nullptr,
+                    din.data() + img * in_img, /*parallel_ok=*/false);
+        fbe.backward_filter(p, dout.data() + img * out_img,
+                            in.data() + img * in_img, partial,
+                            /*parallel_ok=*/false);
+      });
   // Bias gradient: channels fan out, each in serial image order.
   if (cfg_.bias) {
     bias_grad_accumulate(dout.data(), n_img, cfg_.out_channels,

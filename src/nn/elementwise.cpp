@@ -183,4 +183,17 @@ void bias_grad_accumulate(const float* dout, std::size_t images,
              });
 }
 
+void accumulate_image_partials(const float* partials, std::size_t images,
+                               std::size_t n, float* grad,
+                               TaskScheduler& sched) {
+  // Image-outer within a piece: the piece of grad stays cache-resident
+  // while each image's partial streams past it once.
+  for_pieces(sched, n, kPieceElems, [=](std::size_t lo, std::size_t hi) {
+    for (std::size_t img = 0; img < images; ++img) {
+      const float* part = partials + img * n;
+      for (std::size_t i = lo; i < hi; ++i) grad[i] += part[i];
+    }
+  });
+}
+
 }  // namespace pf15::nn

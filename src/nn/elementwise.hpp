@@ -1,13 +1,14 @@
 // Memory-bound layer kernels shared by the eager layers (ReLU, MaxPool2d,
-// GlobalAvgPool, the conv/deconv bias gradients) and the compiled
-// executor, so both paths run one implementation.
+// GlobalAvgPool, the conv/deconv bias and filter-gradient reductions) and
+// the compiled executor, so both paths run one implementation.
 //
 // Every kernel is branch-free in its inner loop and fans out over the
-// given scheduler in fixed-size pieces: element chunks for ReLU, whole
-// planes for pooling, channels for bias gradients. Inputs below one
-// piece run inline on the caller. Each output element is computed by
-// exactly one task with the same arithmetic, in the same order, as the
-// serial loop, so results are bit-identical for any scheduler width.
+// given scheduler in fixed-size pieces: element chunks for ReLU and the
+// filter-gradient partial sums, whole planes for pooling, channels for
+// bias gradients. Inputs below one piece run inline on the caller. Each
+// output element is computed by exactly one task with the same
+// arithmetic, in the same order, as the serial loop, so results are
+// bit-identical for any scheduler width.
 #pragma once
 
 #include <cstddef>
@@ -62,5 +63,13 @@ void global_avg_pool_backward(const float* dout, float* din,
 void bias_grad_accumulate(const float* dout, std::size_t images,
                           std::size_t channels, std::size_t plane,
                           float* grad, TaskScheduler& sched);
+
+/// grad[i] += partials[img * n + i] for img = 0, 1, ..., images - 1 in
+/// turn, for i in [0, n): per-image gradient partials computed in
+/// parallel are folded onto the gradient in image order, so the sum does
+/// not depend on which task finished first. Fans out over element pieces.
+void accumulate_image_partials(const float* partials, std::size_t images,
+                               std::size_t n, float* grad,
+                               TaskScheduler& sched);
 
 }  // namespace pf15::nn

@@ -4,18 +4,23 @@
 
 #include "check_failure.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gradient_check.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/deconv2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/elementwise.hpp"
 #include "nn/pool.hpp"
 
 namespace pf15::nn {
@@ -579,6 +584,248 @@ TEST(BitExact, DeconvBiasGradMatchesSerialLoop) {
     Rng rng(22);
     Deconv2d dc("d", {8, 8, 6, 2, 2, true}, rng);
     expect_bias_grad_bit_exact(dc, Shape{batch, 8, 16, 16});
+  }
+}
+
+TEST(BitExact, ImagePartialsFoldInImageOrder) {
+  // Odd sizes and sizes around the 16384-element piece, from one image
+  // up; the result must not depend on the scheduler width.
+  TaskScheduler one_worker(1);
+  std::uint64_t seed = 0xf01d;
+  for (const std::size_t images : {1u, 3u, 8u}) {
+    for (const std::size_t n : {1u, 7u, 16383u, 16384u, 16385u, 40001u}) {
+      const Tensor parts = hostile_input(Shape{images, n}, seed++);
+      const Tensor start = hostile_input(Shape{n}, seed++);
+      Tensor want = start.clone();
+      for (std::size_t img = 0; img < images; ++img) {
+        for (std::size_t i = 0; i < n; ++i) {
+          want.data()[i] += parts.data()[img * n + i];
+        }
+      }
+      for (TaskScheduler* sched : {&TaskScheduler::global(), &one_worker}) {
+        Tensor got = start.clone();
+        accumulate_image_partials(parts.data(), images, n, got.data(), *sched);
+        expect_bits_equal(got, want);
+      }
+    }
+  }
+}
+
+TEST(BitExact, ImagePartialsPropagateNanAndInfinity) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  // Six elements, three images; the gradient starts at `grad`.
+  float grad[6] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, kInf};
+  const float parts[3 * 6] = {
+      kInf, kInf, kNan, 1.0f, -kInf, 1.0f,   // image 0
+      1.0f, -kInf, 1.0f, 1.0f, 1.0f, 1.0f,   // image 1
+      2.0f, 1.0f, 1.0f, kNan, -kInf, -2.0f,  // image 2
+  };
+  accumulate_image_partials(parts, 3, 6, grad, TaskScheduler::global());
+  EXPECT_EQ(grad[0], kInf);
+  EXPECT_TRUE(std::isnan(grad[1]));  // +inf + -inf
+  EXPECT_TRUE(std::isnan(grad[2]));  // NaN in the first image
+  EXPECT_TRUE(std::isnan(grad[3]));  // NaN in the last image
+  EXPECT_EQ(grad[4], -kInf);
+  EXPECT_EQ(grad[5], kInf);  // a prefilled infinity survives
+
+  float one[2] = {kNan, 1.0f};
+  const float single[2] = {1.0f, kInf};
+  accumulate_image_partials(single, 1, 2, one, TaskScheduler::global());
+  EXPECT_TRUE(std::isnan(one[0]));
+  EXPECT_EQ(one[1], kInf);
+}
+
+// ------------------------------------------- Image-parallel conv backward
+// Conv2d and Deconv2d run their backward pass as one task per image: the
+// image's data gradient, then its filter gradient into a zeroed partial,
+// and the partials are folded onto the weight gradient in image order.
+// Each layer is checked against the backends it resolved, called image
+// by image with parallel_ok=true as the serial loops called them.
+
+/// Filter-gradient tolerance against the old serial accumulation,
+/// relative to the largest gradient element. The old loop added every
+/// image straight onto the gradient, so an im2col GEMM whose K = OH*OW
+/// spans several 256-wide blocks added each block onto the running
+/// gradient; the image-parallel pass sums an image's blocks first.
+/// Reassociating b images of k blocks moves a float sum by about
+/// (b + k) eps of its terms: ~1.4e-6 at batch 8 and 4 blocks. The cases
+/// below reach 1.9e-7. The other backends add each image's finished sum
+/// once, as before.
+constexpr float kSerialOrderRelTol = 2e-6f;
+
+/// One image's data pass (overwrites a din image) and filter pass
+/// (accumulates into dweight).
+struct ImagePasses {
+  std::size_t in_img = 0;
+  std::function<void(std::size_t img, float* din)> data;
+  std::function<void(std::size_t img, float* dweight)> filter;
+};
+
+void check_image_parallel_backward(Layer& layer, const Tensor& in,
+                                   const Tensor& dout,
+                                   const ImagePasses& passes) {
+  Tensor& grad = *layer.params()[0].grad;
+  Rng rng(0x5eed);
+  grad.fill_uniform(rng, -0.5f, 0.5f);  // backward must add onto this
+  const Tensor prefill = grad.clone();
+
+  Tensor ordered = prefill.clone();  // zeroed partials summed in order
+  Tensor serial = prefill.clone();   // the old in-place accumulation
+  Tensor want_din(in.shape());
+  Tensor part(grad.shape());
+  for (std::size_t img = 0; img < in.shape().n(); ++img) {
+    part.zero();
+    passes.filter(img, part.data());
+    for (std::size_t i = 0; i < part.numel(); ++i) {
+      ordered.data()[i] += part.data()[i];
+    }
+    passes.filter(img, serial.data());
+    passes.data(img, want_din.data() + img * passes.in_img);
+  }
+
+  Tensor din;
+  layer.backward(in, dout, din);
+  const Tensor got = grad.clone();
+  {
+    SCOPED_TRACE("first backward vs ordered partials and per-image din");
+    expect_bits_equal(got, ordered);
+    expect_bits_equal(din, want_din);
+  }
+
+  float scale = 0.0f;
+  for (std::size_t i = 0; i < serial.numel(); ++i) {
+    scale = std::max(scale, std::abs(serial.at(i)));
+  }
+  for (std::size_t i = 0; i < serial.numel(); ++i) {
+    ASSERT_LE(std::abs(got.at(i) - serial.at(i)), kSerialOrderRelTol * scale)
+        << "filter gradient element " << i << " vs serial accumulation";
+  }
+
+  grad.copy_from(prefill);
+  Tensor din2;
+  layer.backward(in, dout, din2);
+  SCOPED_TRACE("second backward vs first");
+  expect_bits_equal(grad, got);
+  expect_bits_equal(din2, din);
+}
+
+struct ForcedBackend {
+  ConvAlgo algo;
+  gemm::ConvBackendKind kind;
+};
+constexpr ForcedBackend kForcedBackends[] = {
+    {ConvAlgo::kIm2col, gemm::ConvBackendKind::kIm2col},
+    {ConvAlgo::kWinograd, gemm::ConvBackendKind::kWinograd},
+    {ConvAlgo::kDirect, gemm::ConvBackendKind::kDirect},
+    {ConvAlgo::kFft, gemm::ConvBackendKind::kFft}};
+/// 32x32 spreads the im2col filter GEMM's K = 1024 over four KC blocks;
+/// 8x8 (K = 64) fits in one.
+constexpr std::size_t kBackwardSides[] = {32, 8};
+constexpr std::size_t kBackwardBatches[] = {1, 3, 8};
+
+/// The 3x3 stride-1 pad-1 convolution both layers below run.
+gemm::ConvProblem same_3x3(std::size_t in_c, std::size_t out_c,
+                           std::size_t side) {
+  gemm::ConvProblem p;
+  p.geom.in_c = in_c;
+  p.geom.in_h = p.geom.in_w = side;
+  p.geom.kernel_h = p.geom.kernel_w = 3;
+  p.geom.pad_h = p.geom.pad_w = 1;
+  p.out_c = out_c;
+  return p;
+}
+
+TEST(ImageParallelBackward, Conv2dMatchesPerImagePasses) {
+  using gemm::ConvPhase;
+  for (const ForcedBackend& fb : kForcedBackends) {
+    for (const std::size_t side : kBackwardSides) {
+      for (const std::size_t batch : kBackwardBatches) {
+        SCOPED_TRACE(std::string(gemm::to_string(fb.kind)) + " side " +
+                     std::to_string(side) + " batch " +
+                     std::to_string(batch));
+        Rng rng(31);
+        Conv2d conv("c", {3, 5, 3, 1, 1, true, fb.algo}, rng);
+        const Tensor in = random_input(Shape{batch, 3, side, side},
+                                       0xc0 + side + batch);
+        Tensor out;
+        conv.forward(in, out);
+        const Tensor dout = random_input(out.shape(), 0xd0 + side + batch);
+
+        const gemm::ConvProblem p = same_3x3(3, 5, side);
+        const gemm::ConvBackendKind dkind =
+            conv.backward_backend(in.shape(), ConvPhase::kBackwardData);
+        const gemm::ConvBackendKind fkind =
+            conv.backward_backend(in.shape(), ConvPhase::kBackwardFilter);
+        ASSERT_EQ(dkind, fb.kind);
+        ASSERT_EQ(fkind, fb.kind);
+        const gemm::ConvBackend& dbe = gemm::backend(dkind);
+        const gemm::ConvBackend& fbe = gemm::backend(fkind);
+        const float* w = conv.weight().data();
+        const auto dprep = dbe.prepare_backward_data(p, w);
+        const std::size_t in_img = 3 * side * side, out_img = 5 * side * side;
+        ImagePasses passes;
+        passes.in_img = in_img;
+        passes.data = [&](std::size_t img, float* din) {
+          dbe.backward_data_prepared(p, dprep.get(),
+                                     dout.data() + img * out_img, w, din,
+                                     /*parallel_ok=*/true);
+        };
+        passes.filter = [&](std::size_t img, float* dweight) {
+          fbe.backward_filter(p, in.data() + img * in_img,
+                              dout.data() + img * out_img, dweight,
+                              /*parallel_ok=*/true);
+        };
+        check_image_parallel_backward(conv, in, dout, passes);
+        EXPECT_EQ(conv.last_backward_filter_backend(), fb.kind);
+      }
+    }
+  }
+}
+
+TEST(ImageParallelBackward, Deconv2dMatchesPerImagePasses) {
+  using gemm::ConvPhase;
+  for (const ForcedBackend& fb : kForcedBackends) {
+    for (const std::size_t side : kBackwardSides) {
+      for (const std::size_t batch : kBackwardBatches) {
+        SCOPED_TRACE(std::string(gemm::to_string(fb.kind)) + " side " +
+                     std::to_string(side) + " batch " +
+                     std::to_string(batch));
+        Rng rng(32);
+        Deconv2d dc("d", {5, 3, 3, 1, 1, true, fb.algo}, rng);
+        const Tensor in = random_input(Shape{batch, 5, side, side},
+                                       0xe0 + side + batch);
+        Tensor out;
+        dc.forward(in, out);
+        const Tensor dout = random_input(out.shape(), 0xf0 + side + batch);
+
+        // The underlying convolution maps the deconv output (3 channels)
+        // onto its input (5 channels).
+        const gemm::ConvProblem p = same_3x3(3, 5, side);
+        const gemm::ConvBackendKind dkind =
+            dc.phase_backend(in.shape(), ConvPhase::kForward);
+        const gemm::ConvBackendKind fkind =
+            dc.phase_backend(in.shape(), ConvPhase::kBackwardFilter);
+        ASSERT_EQ(dkind, fb.kind);
+        ASSERT_EQ(fkind, fb.kind);
+        const gemm::ConvBackend& dbe = gemm::backend(dkind);
+        const gemm::ConvBackend& fbe = gemm::backend(fkind);
+        const float* w = dc.params()[0].value->data();
+        const std::size_t in_img = 5 * side * side, out_img = 3 * side * side;
+        ImagePasses passes;
+        passes.in_img = in_img;
+        passes.data = [&](std::size_t img, float* din) {
+          dbe.forward(p, dout.data() + img * out_img, w, nullptr, din,
+                      /*parallel_ok=*/true);
+        };
+        passes.filter = [&](std::size_t img, float* dweight) {
+          fbe.backward_filter(p, dout.data() + img * out_img,
+                              in.data() + img * in_img, dweight,
+                              /*parallel_ok=*/true);
+        };
+        check_image_parallel_backward(dc, in, dout, passes);
+      }
+    }
   }
 }
 
