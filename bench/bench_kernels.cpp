@@ -1,8 +1,8 @@
 // Kernel microbenchmarks (google-benchmark): SGEMM across deep-learning
 // shapes, convolution forward/backward across every registered backend,
-// im2col, and all-reduce payloads. These are the per-kernel numbers
-// behind the Fig 5 profile. The JSON perf record comes from the
-// always-built sibling, bench_conv_backends.
+// the im2col/col2im lowering, and all-reduce payloads. These are the
+// per-kernel numbers behind the Fig 5 profile. The JSON perf record comes
+// from the always-built sibling, bench_conv_backends.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "gemm/conv_backend.hpp"
 #include "gemm/gemm.hpp"
+#include "gemm/im2col.hpp"
 #include "nn/conv2d.hpp"
 
 namespace {
@@ -168,6 +169,87 @@ BENCHMARK(BM_ConvBackendForward)
     ->Args({0, 28})
     ->Args({1, 28})
     ->Args({3, 28});
+
+// One image through the im2col / col2im lowering, on every lowering
+// geometry of the benchmarked nets plus a few edge shapes. range(0) picks
+// the geometry; GB/s counts the lowered matrix (written by im2col, read
+// by col2im).
+struct LoweringCase {
+  const char* name;
+  std::size_t c, h, w, k, s, p;
+};
+
+constexpr LoweringCase kLoweringCases[] = {
+    {"hep.conv1 3@64 k3s1p1", 3, 64, 64, 3, 1, 1},
+    {"hep.conv2 64@32 k3s1p1", 64, 32, 32, 3, 1, 1},
+    {"hep.conv3 64@16 k3s1p1", 64, 16, 16, 3, 1, 1},
+    {"hep.conv4 64@8 k3s1p1", 64, 8, 8, 3, 1, 1},
+    {"hep.conv5 64@4 k3s1p1", 64, 4, 4, 3, 1, 1},
+    {"hybrid.conv5 128@2 k3s1p1", 128, 2, 2, 3, 1, 1},
+    {"climate.enc1 16@64 k5s2p2", 16, 64, 64, 5, 2, 2},
+    {"climate.enc2 16@32 k5s2p2", 16, 32, 32, 5, 2, 2},
+    {"climate.enc3 32@16 k5s2p2", 32, 16, 16, 5, 2, 2},
+    {"climate.enc4 48@8 k5s2p2", 48, 8, 8, 5, 2, 2},
+    {"climate.enc5 64@4 k5s2p2", 64, 4, 4, 5, 2, 2},
+    {"climate.head 80@2 k3s1p1", 80, 2, 2, 3, 1, 1},
+    {"climate.dec1 64@4 k6s2p2", 64, 4, 4, 6, 2, 2},
+    {"climate.dec2 48@8 k6s2p2", 48, 8, 8, 6, 2, 2},
+    {"climate.dec3 32@16 k6s2p2", 32, 16, 16, 6, 2, 2},
+    {"climate.dec4 16@32 k6s2p2", 16, 32, 32, 6, 2, 2},
+    {"climate.dec5 16@64 k6s2p2", 16, 64, 64, 6, 2, 2},
+    {"stride3 8@17x40 k5s3p2", 8, 17, 40, 5, 3, 2},
+    {"pad>k 8@9 k3s1p4", 8, 9, 9, 3, 1, 4},
+    {"1x1 64@16 k1s1p0", 64, 16, 16, 1, 1, 0},
+};
+
+gemm::ConvGeom lowering_geom(const LoweringCase& lc) {
+  gemm::ConvGeom g;
+  g.in_c = lc.c;
+  g.in_h = lc.h;
+  g.in_w = lc.w;
+  g.kernel_h = g.kernel_w = lc.k;
+  g.stride_h = g.stride_w = lc.s;
+  g.pad_h = g.pad_w = lc.p;
+  return g;
+}
+
+void BM_Im2col(benchmark::State& state) {
+  const LoweringCase& lc = kLoweringCases[state.range(0)];
+  const gemm::ConvGeom g = lowering_geom(lc);
+  Rng rng(4);
+  std::vector<float> image(g.in_c * g.in_h * g.in_w);
+  for (auto& v : image) v = rng.uniform(-1.0f, 1.0f);
+  std::vector<float> col(g.lowered_rows() * g.lowered_cols());
+  for (auto _ : state) {
+    gemm::im2col(g, image.data(), col.data());
+    benchmark::DoNotOptimize(col.data());
+  }
+  state.SetLabel(lc.name);
+  state.counters["GB/s"] = benchmark::Counter(
+      static_cast<double>(col.size() * sizeof(float)) * state.iterations() /
+          1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Im2col)->DenseRange(0, std::size(kLoweringCases) - 1);
+
+void BM_Col2im(benchmark::State& state) {
+  const LoweringCase& lc = kLoweringCases[state.range(0)];
+  const gemm::ConvGeom g = lowering_geom(lc);
+  Rng rng(5);
+  std::vector<float> col(g.lowered_rows() * g.lowered_cols());
+  for (auto& v : col) v = rng.uniform(-1.0f, 1.0f);
+  std::vector<float> image(g.in_c * g.in_h * g.in_w, 0.0f);
+  for (auto _ : state) {
+    gemm::col2im(g, col.data(), image.data());
+    benchmark::DoNotOptimize(image.data());
+  }
+  state.SetLabel(lc.name);
+  state.counters["GB/s"] = benchmark::Counter(
+      static_cast<double>(col.size() * sizeof(float)) * state.iterations() /
+          1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Col2im)->DenseRange(0, std::size(kLoweringCases) - 1);
 
 void BM_AllReduceRing(benchmark::State& state) {
   const auto kib = static_cast<std::size_t>(state.range(0));

@@ -635,10 +635,12 @@ std::vector<const ConvBackend*> candidate_backends(
     // Reject hopeless candidates on the analytic cost model alone: timing
     // FFT on a 3x3 problem would cost orders of magnitude more than the
     // convolution it is supposed to speed up. The direct backend's flops
-    // equal im2col's, so it is never rejected — intentional: on this
-    // code's scalar SGEMM it *wins* big geometries outright (e.g. the
-    // 512->768 5x5 climate encoder stage measured), and timing it costs
-    // the same order as timing im2col.
+    // equal im2col's, so the cutoff never rejects it, and that is what
+    // keeps it a candidate: it loses the large layers by 13-30x
+    // (hep.conv3 forward: 92 ms vs 4.5 ms for im2col), but it wins tiny
+    // output grids such as the climate heads (80 -> 1-4 channels at
+    // 2 px), where lowering costs more than the arithmetic. Timing it
+    // costs the same order as timing im2col.
     if (b->kind() != ConvBackendKind::kIm2col &&
         static_cast<double>(b->flops(p, phase)) >
             opt.flops_cutoff * ref_flops) {

@@ -14,14 +14,19 @@
 // Pool depth therefore equals the deepest nesting ever reached on the
 // thread (small), not the task count.
 //
-// Buffers keep their capacity across checkouts and are shrunk at
-// checkout when the high-water mark dwarfs the current problem, so a
-// one-off giant lowering (full-resolution climate encoder: ~0.2 GB)
-// doesn't pin that much memory per worker thread for the rest of the
-// process.
+// A checkout takes the most recently returned buffer that already fits,
+// so a small lease between two large ones (a smaller layer's lowering
+// between two of a larger layer) neither frees nor re-zeroes the large
+// buffer. Only when nothing fits is a buffer (the largest) grown. A buffer far
+// larger than both the request and kScratchKeepFloats is shrunk at
+// checkout, so a one-off giant lowering (full-resolution climate encoder:
+// ~0.2 GB) doesn't pin that much memory per worker thread for the rest of
+// the process.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -32,6 +37,11 @@ inline std::vector<std::unique_ptr<std::vector<float>>>& scratch_pool() {
   thread_local std::vector<std::unique_ptr<std::vector<float>>> pool;
   return pool;
 }
+
+/// Buffers up to four times this size (16 MiB) stay pooled whatever the
+/// request. 4 MiB is above the largest lowering of the benchmarked nets
+/// (~2.4 MB), so their leases never release each other's buffers.
+inline constexpr std::size_t kScratchKeepFloats = std::size_t{1} << 20;
 }  // namespace detail
 
 /// RAII checkout of at least `need` floats from the calling thread's
@@ -43,15 +53,26 @@ class ScratchLease {
  public:
   explicit ScratchLease(std::size_t need) {
     auto& pool = detail::scratch_pool();
-    if (pool.empty()) {
+    // The most recently returned buffer that fits, else the largest.
+    const auto fit = std::find_if(
+        pool.rbegin(), pool.rend(),
+        [&](const auto& b) { return b->size() >= need; });
+    const auto it =
+        fit != pool.rend()
+            ? std::prev(fit.base())
+            : std::max_element(pool.begin(), pool.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a->size() < b->size();
+                               });
+    if (it == pool.end()) {
       buf_ = std::make_unique<std::vector<float>>();
     } else {
-      buf_ = std::move(pool.back());
-      pool.pop_back();
+      buf_ = std::move(*it);
+      pool.erase(it);
     }
-    // The small slack term keeps tiny problems from re-allocating on
-    // every size wiggle.
-    if (buf_->size() < need || buf_->capacity() > 4 * need + 1024) {
+    if (buf_->size() < need ||
+        buf_->capacity() > 4 * std::max(need, detail::kScratchKeepFloats)) {
+      // Drop the old storage first so growing does not copy it.
       buf_->clear();
       buf_->shrink_to_fit();
       buf_->resize(need);

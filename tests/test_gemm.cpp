@@ -1,5 +1,6 @@
 // Blocked SGEMM vs the naive reference, across shapes, transposes, and
-// alpha/beta combinations; plus the instrumented FLOP counter.
+// alpha/beta combinations; plus the instrumented FLOP counter and the
+// kernel scratch pool.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -7,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "gemm/gemm.hpp"
+#include "gemm/scratch.hpp"
 
 namespace pf15::gemm {
 namespace {
@@ -136,6 +138,46 @@ TEST(Gemm, LeadingDimensionLargerThanRow) {
   sgemm(false, false, 3, 5, 4, 1.0f, a.data(), 6, b.data(), 5, 0.0f,
         c_opt.data(), 5);
   expect_close(c_ref, c_opt);
+}
+
+// A small lease between two large ones must not free the large buffer:
+// the next large lease gets the same storage back, contents intact (a
+// re-allocation would also re-zero it).
+TEST(ScratchLease, AlternatingSizesReuseTheLargeBuffer) {
+  constexpr std::size_t kLarge = std::size_t{1} << 18;
+  constexpr std::size_t kSmall = 300;
+  float* large = nullptr;
+  {
+    ScratchLease lease(kLarge);
+    large = lease.data();
+    large[kLarge - 1] = 42.0f;
+  }
+  for (int round = 0; round < 3; ++round) {
+    {
+      ScratchLease small(kSmall);
+      small.data()[0] = 1.0f;
+    }
+    ScratchLease lease(kLarge);
+    EXPECT_EQ(lease.data(), large) << "round " << round;
+    EXPECT_EQ(lease.data()[kLarge - 1], 42.0f) << "round " << round;
+  }
+}
+
+// Nested leases on one thread never share storage.
+TEST(ScratchLease, NestedLeasesGetDistinctBuffers) {
+  ScratchLease outer(1000);
+  ScratchLease inner(10);
+  EXPECT_NE(outer.data(), inner.data());
+}
+
+// A one-off giant buffer is still released once a small lease takes it.
+TEST(ScratchLease, GiantBufferIsReleasedBySmallLease) {
+  const std::size_t giant = 4 * detail::kScratchKeepFloats + 1;
+  { ScratchLease lease(giant); }
+  { ScratchLease small(1000); }
+  for (const auto& buf : detail::scratch_pool()) {
+    EXPECT_LT(buf->capacity(), giant);
+  }
 }
 
 }  // namespace
