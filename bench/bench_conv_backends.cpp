@@ -2,7 +2,7 @@
 // representative HEP-net and climate-net layer geometries — forward,
 // backward-data and backward-filter — compared with the autotune plan
 // cache's per-phase pick, plus a batched mode that drives the nn::Conv2d
-// thread-pool batch loop end to end (forward and backward). Everything is
+// scheduler batch loop end to end (forward and backward). Everything is
 // recorded as a machine-readable JSON perf record
 // (BENCH_conv_backends.json) so the perf trajectory of the system's
 // hottest path is tracked PR over PR.
@@ -21,7 +21,7 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
+#include "common/task_scheduler.hpp"
 #include "common/timer.hpp"
 #include "gemm/conv_backend.hpp"
 #include "nn/conv2d.hpp"
@@ -37,7 +37,7 @@ struct NamedProblem {
   const char* name;
   const char* net;  // which paper network the geometry comes from
   gemm::ConvProblem problem;
-  bool wide_tile = false;  // large-kernel climate class (spectral territory)
+  bool wide_tile = false;  // wide-tile climate class (counted in the summary)
 };
 
 gemm::ConvProblem make_problem(std::size_t in_c, std::size_t out_c,
@@ -67,15 +67,10 @@ std::vector<NamedProblem> geometries() {
       {"climate.enc4_scaled", "climate", make_problem(512, 768, 12, 5, 2, 2)},
       {"climate.head_conf", "climate", make_problem(1024, 1, 24, 3, 1, 1)},
       {"climate.head_cls", "climate", make_problem(1024, 4, 24, 3, 1, 1)},
-      // Wide-tile climate variants: large receptive fields on wide
-      // spatial tiles (the §III-B 768² storm fields favour big effective
-      // windows when not strided away). wide_k33 lands on one 64²
-      // transform grid with a kernel big enough that the spectral
-      // backward out-races the im2col adjoint; wide_3x3 is the wide-tile
-      // 3x3 class where the Winograd backward wins. The summary counts
-      // how many wide-tile backward phases actually picked non-im2col.
-      {"climate.wide_k33", "climate", make_problem(4, 4, 32, 33, 1, 16),
-       /*wide_tile=*/true},
+      // Wide-tile climate variant: a 3x3 layer on a wide spatial tile
+      // (the §III-B 768² storm fields), the class where the Winograd
+      // backward wins. The summary counts how many of its backward
+      // phases picked a non-im2col backend.
       {"climate.wide_3x3", "climate", make_problem(32, 32, 96, 3, 1, 1),
        /*wide_tile=*/true},
   };
@@ -105,10 +100,6 @@ int main(int argc, char** argv) {
   bool require_warm = false;
   gemm::AutotuneOptions opt;
   opt.reps = 3;
-  // Tighter than the autotune default: candidates the cost model already
-  // puts 3x behind im2col never win here, and timing them (FFT mostly)
-  // would dominate the bench's wall clock.
-  opt.flops_cutoff = 3.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
@@ -149,7 +140,7 @@ int main(int argc, char** argv) {
   perf::Json record = perf::Json::object();
   record.set("bench", "conv_backends");
   record.set("unit", "microseconds_per_image");
-  record.set("threads", ThreadPool::global().size());
+  record.set("threads", TaskScheduler::global().size());
   record.set("reps", opt.reps);
   record.set("batch", batch);
   record.set("warm_start", warm_start);
@@ -184,10 +175,9 @@ int main(int argc, char** argv) {
 
       if (!no_sweep) {
         perf::Json backends = perf::Json::array();
-        // candidate_backends applies the same analytic cutoff autotune
-        // does (e.g. FFT at 3x3 never gets timed in any phase).
+        // The same candidates autotune races.
         for (const gemm::ConvBackend* b :
-             gemm::candidate_backends(np.problem, opt, phase)) {
+             gemm::applicable_backends(np.problem, phase)) {
           perf::Json entry = perf::Json::object();
           entry.set("backend", b->name());
           const double b_flops =
@@ -234,7 +224,7 @@ int main(int argc, char** argv) {
     row.set("phases", std::move(phases));
 
     if (!no_sweep && batch > 1) {
-      // End-to-end thread-pool batch loop through the nn::Conv2d layer:
+      // End-to-end scheduler batch loop through the nn::Conv2d layer:
       // install the tuned plans into the global cache so kAuto dispatches
       // to exactly the plans measured above, then time forward and
       // backward over a full batch.
@@ -293,8 +283,8 @@ int main(int argc, char** argv) {
   summary.set("backward_plans_never_slower_than_im2col", bwd_never_slower);
   summary.set("non_im2col_hep_geometries", non_im2col_hep);
   summary.set("non_im2col_climate_geometries", non_im2col_climate);
-  // 2·wide_tiles backward phases total; a non-zero count here is the
-  // "spectral backward actually wins somewhere" acceptance.
+  // 2·wide_tiles backward phases total; a non-zero count here means a
+  // non-im2col backend wins a wide-tile backward phase.
   summary.set("wide_tile_geometries", wide_tiles);
   summary.set("non_im2col_wide_backward_plans", non_im2col_wide_backward);
   summary.set("first_sight_tunes", first_sight_tunes);

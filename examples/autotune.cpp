@@ -7,7 +7,7 @@
 //   2. YellowFin closing the loop online: no search at all, momentum and
 //      learning rate are derived from running gradient statistics.
 // Level 0 goes below the training loop: the convolution backend registry
-// (im2col / Winograd / FFT / direct) exposed as a tune::Space, searched
+// (im2col / Winograd / direct) exposed as a tune::Space, searched
 // with the same machinery, and compared against the plan cache's pick.
 #include <cstdio>
 #include <vector>
@@ -74,7 +74,7 @@ int main() {
     std::printf("tuning convolution backend for 128x128 3x3 @ 28x28...\n");
     gemm::AutotuneOptions opt;
     opt.reps = 2;
-    const auto space = tune::conv_backend_space(p, opt);
+    const auto space = tune::conv_backend_space(p);
     const auto result = tune::grid_search(
         space, tune::conv_backend_objective(p, opt), /*per_dim=*/1);
     for (const auto& trial : result.trials) {

@@ -1,8 +1,8 @@
 // Work-stealing task scheduler: the process-wide compute substrate.
 //
-// Replaces the flat ThreadPool (which forbade nested waits, forcing the
-// `parallel_ok=false` serial switch through every layer under a parallel
-// level) with a scheduler on which nesting is legal *by construction*:
+// Unlike a flat thread pool (which forbids nested waits, forcing a
+// serial switch through every layer under a parallel level), nesting is
+// legal on this scheduler *by construction*:
 //
 //   - Each worker owns a Chase–Lev deque: the owner pushes and pops at
 //     the bottom (LIFO, cache-hot child tasks first), thieves steal from
@@ -29,8 +29,9 @@
 // condition variable with a 1ms timeout backstop (a lost wakeup costs a
 // millisecond, never a hang).
 //
-// ThreadPool (thread_pool.hpp) survives as a compatibility shim over
-// this class; new code should use TaskScheduler directly.
+// Schedulers compose: a task on one scheduler may parallel_for on
+// another (a node of a plan compiled onto a private scheduler waits on
+// the global one inside the conv backends).
 #pragma once
 
 #include <atomic>

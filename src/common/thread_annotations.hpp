@@ -1,6 +1,6 @@
 // Clang -Wthread-safety annotations + annotated locking primitives.
 //
-// The concurrency tier (ThreadPool, DynamicBatcher, ServingEngine,
+// The concurrency tier (TaskScheduler, DynamicBatcher, ServingEngine,
 // ConvPlanCache, MetricsRegistry, the comm mailboxes) protects shared
 // state with mutexes whose discipline lived only in comments. These
 // macros make the discipline machine-checked: members annotated

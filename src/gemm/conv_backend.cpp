@@ -1,11 +1,13 @@
 #include "gemm/conv_backend.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <sstream>
 #include <thread>
 #include <tuple>
 #include <unistd.h>
@@ -14,7 +16,6 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "gemm/fft_conv.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/scratch.hpp"
 #include "gemm/simd.hpp"
@@ -31,8 +32,6 @@ const char* to_string(ConvBackendKind kind) {
       return "im2col";
     case ConvBackendKind::kWinograd:
       return "winograd";
-    case ConvBackendKind::kFft:
-      return "fft";
     case ConvBackendKind::kDirect:
       return "direct";
   }
@@ -42,7 +41,6 @@ const char* to_string(ConvBackendKind kind) {
 std::optional<ConvBackendKind> parse_backend(const std::string& name) {
   if (name == "im2col") return ConvBackendKind::kIm2col;
   if (name == "winograd") return ConvBackendKind::kWinograd;
-  if (name == "fft") return ConvBackendKind::kFft;
   if (name == "direct") return ConvBackendKind::kDirect;
   return std::nullopt;
 }
@@ -332,55 +330,6 @@ class WinogradBackend final : public ConvBackend {
   }
 };
 
-// ---- FFT -------------------------------------------------------------------
-
-class FftBackend final : public ConvBackend {
- public:
-  ConvBackendKind kind() const override { return ConvBackendKind::kFft; }
-
-  bool applicable(const ConvProblem& p, ConvPhase) const override {
-    // The spectral kernels take one kernel/stride/pad per problem
-    // (square taps); within that shape every phase is implemented — the
-    // gradients are exact adjoints in the transform domain
-    // (fft_conv2d_backward_*), so FFT races im2col/Winograd/direct in
-    // the backward autotunes too.
-    return p.geom.kernel_h == p.geom.kernel_w &&
-           p.geom.stride_h == p.geom.stride_w &&
-           p.geom.pad_h == p.geom.pad_w;
-  }
-
-  void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out,
-               bool /*parallel_ok*/) const override {
-    fft_conv2d(image, p.geom.in_c, p.geom.in_h, p.geom.in_w, weight,
-               p.out_c, p.geom.kernel_h, p.geom.stride_h, p.geom.pad_h,
-               bias, out);
-  }
-
-  void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din,
-                     bool /*parallel_ok*/) const override {
-    fft_conv2d_backward_data(dout, p.geom.in_c, p.geom.in_h, p.geom.in_w,
-                             weight, p.out_c, p.geom.kernel_h,
-                             p.geom.stride_h, p.geom.pad_h, din);
-  }
-
-  void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight,
-                       bool /*parallel_ok*/) const override {
-    fft_conv2d_backward_filter(image, p.geom.in_c, p.geom.in_h, p.geom.in_w,
-                               dout, p.out_c, p.geom.kernel_h,
-                               p.geom.stride_h, p.geom.pad_h, dweight);
-  }
-
-  std::uint64_t flops(const ConvProblem& p, ConvPhase) const override {
-    // Every phase moves the same transform count and pointwise work
-    // (see fft_conv.hpp), so the model is phase-independent.
-    return fft_conv_flops(p.geom.in_c, p.out_c, p.geom.in_h, p.geom.in_w,
-                          p.geom.kernel_h, p.geom.pad_h);
-  }
-};
-
 // ---- direct (small-spatial) ------------------------------------------------
 
 // Plain nested loops, no lowering and no transform. Arithmetic equals the
@@ -590,15 +539,12 @@ class DirectBackend final : public ConvBackend {
 const ConvBackend& backend(ConvBackendKind kind) {
   static const Im2colBackend im2col_backend;
   static const WinogradBackend winograd_backend;
-  static const FftBackend fft_backend;
   static const DirectBackend direct_backend;
   switch (kind) {
     case ConvBackendKind::kIm2col:
       return im2col_backend;
     case ConvBackendKind::kWinograd:
       return winograd_backend;
-    case ConvBackendKind::kFft:
-      return fft_backend;
     case ConvBackendKind::kDirect:
       return direct_backend;
   }
@@ -611,7 +557,6 @@ const std::vector<const ConvBackend*>& all_backends() {
   static const std::vector<const ConvBackend*> table = {
       &backend(ConvBackendKind::kIm2col),
       &backend(ConvBackendKind::kWinograd),
-      &backend(ConvBackendKind::kFft),
       &backend(ConvBackendKind::kDirect),
   };
   return table;
@@ -622,31 +567,6 @@ std::vector<const ConvBackend*> applicable_backends(const ConvProblem& p,
   std::vector<const ConvBackend*> out;
   for (const ConvBackend* b : all_backends()) {
     if (b->applicable(p, phase)) out.push_back(b);
-  }
-  return out;
-}
-
-std::vector<const ConvBackend*> candidate_backends(
-    const ConvProblem& p, const AutotuneOptions& opt, ConvPhase phase) {
-  const double ref_flops = static_cast<double>(
-      backend(ConvBackendKind::kIm2col).flops(p, phase));
-  std::vector<const ConvBackend*> out;
-  for (const ConvBackend* b : applicable_backends(p, phase)) {
-    // Reject hopeless candidates on the analytic cost model alone: timing
-    // FFT on a 3x3 problem would cost orders of magnitude more than the
-    // convolution it is supposed to speed up. The direct backend's flops
-    // equal im2col's, so the cutoff never rejects it, and that is what
-    // keeps it a candidate: it loses the large layers by 13-30x
-    // (hep.conv3 forward: 92 ms vs 4.5 ms for im2col), but it wins tiny
-    // output grids such as the climate heads (80 -> 1-4 channels at
-    // 2 px), where lowering costs more than the arithmetic. Timing it
-    // costs the same order as timing im2col.
-    if (b->kind() != ConvBackendKind::kIm2col &&
-        static_cast<double>(b->flops(p, phase)) >
-            opt.flops_cutoff * ref_flops) {
-      continue;
-    }
-    out.push_back(b);
   }
   return out;
 }
@@ -722,7 +642,12 @@ ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt,
   plan.im2col_us = benchmark_backend(reference, p, opt, phase, parallel_ok);
   plan.kind = ConvBackendKind::kIm2col;
   plan.best_us = plan.im2col_us;
-  for (const ConvBackend* b : candidate_backends(p, opt, phase)) {
+  // Every applicable backend is timed. direct is timed even on large
+  // layers, where it loses by 13-30x (hep.conv3 forward: 92 ms vs 4.5 ms
+  // for im2col), because it wins tiny output grids such as the climate
+  // heads (80 -> 1-4 channels at 2 px), where lowering costs more than
+  // the arithmetic.
+  for (const ConvBackend* b : applicable_backends(p, phase)) {
     if (b->kind() == ConvBackendKind::kIm2col) continue;
     const double us = benchmark_backend(*b, p, opt, phase, parallel_ok);
     if (us < plan.best_us) {
@@ -805,11 +730,37 @@ std::vector<StoredPlan> parse_plan_doc(const perf::Json& doc,
   const auto reject = [&](const std::string& why) -> IoError {
     return IoError("conv plan cache: " + origin + ": " + why);
   };
+  // Every number is checked before it is converted: casting a negative,
+  // fractional or out-of-range double to an integer type is undefined
+  // behaviour. Integers must lie in [lo, INT_MAX].
+  const auto integer = [&](const perf::Json& obj, const std::string& where,
+                           const char* name, int lo) {
+    const double v = obj.get(name).as_number();
+    if (!(v >= lo && v <= std::numeric_limits<int>::max() &&
+          v == std::floor(v))) {
+      std::ostringstream why;
+      why << where << "'" << name << "' must be an integer >= " << lo
+          << " (got " << v << ")";
+      throw reject(why.str());
+    }
+    return static_cast<int>(v);
+  };
+  const auto time_us = [&](const perf::Json& obj, const std::string& where,
+                           const char* name) {
+    const double v = obj.get(name).as_number();
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      std::ostringstream why;
+      why << where << "'" << name << "' must be a finite time >= 0 (got "
+          << v << ")";
+      throw reject(why.str());
+    }
+    return v;
+  };
   try {
     if (doc.get("format").as_string() != kCacheFormat) {
       throw reject("not a conv plan cache file");
     }
-    const int version = static_cast<int>(doc.get("version").as_number());
+    const int version = integer(doc, "", "version", 0);
     if (version != kConvPlanCacheVersion) {
       throw reject("format version " + std::to_string(version) +
                    " != expected " +
@@ -831,10 +782,12 @@ std::vector<StoredPlan> parse_plan_doc(const perf::Json& doc,
     out.reserve(entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
       const perf::Json& entry = entries.at(i);
+      const std::string at = "plans[" + std::to_string(i) + "]: ";
       StoredPlan stored;
       ConvGeom& g = stored.problem.geom;
-      const auto field = [&](const char* name) {
-        return static_cast<std::size_t>(entry.get(name).as_number());
+      // Sizes, kernels and strides are positive; only pads may be 0.
+      const auto field = [&](const char* name, int lo = 1) {
+        return static_cast<std::size_t>(integer(entry, at, name, lo));
       };
       g.in_c = field("in_c");
       g.in_h = field("in_h");
@@ -843,8 +796,8 @@ std::vector<StoredPlan> parse_plan_doc(const perf::Json& doc,
       g.kernel_w = field("kernel_w");
       g.stride_h = field("stride_h");
       g.stride_w = field("stride_w");
-      g.pad_h = field("pad_h");
-      g.pad_w = field("pad_w");
+      g.pad_h = field("pad_h", 0);
+      g.pad_w = field("pad_w", 0);
       stored.problem.out_c = field("out_c");
       const auto phase = parse_phase(entry.get("phase").as_string());
       if (!phase.has_value()) {
@@ -868,8 +821,8 @@ std::vector<StoredPlan> parse_plan_doc(const perf::Json& doc,
                      "' not applicable to stored problem in phase " +
                      to_string(*phase));
       }
-      stored.plan.best_us = entry.get("best_us").as_number();
-      stored.plan.im2col_us = entry.get("im2col_us").as_number();
+      stored.plan.best_us = time_us(entry, at, "best_us");
+      stored.plan.im2col_us = time_us(entry, at, "im2col_us");
       stored.plan.tuned = entry.get("tuned").as_bool();
       out.push_back(stored);
     }

@@ -38,11 +38,11 @@ namespace pf15::gemm {
 
 /// Identity of a convolution algorithm in the dispatch table. Values are
 /// stable (they appear in perf records, plan-cache files and tune::Space
-/// encodings).
+/// encodings). Value 2 belonged to a removed FFT backend and stays unused,
+/// so 0, 1 and 3 keep their meaning.
 enum class ConvBackendKind : int {
   kIm2col = 0,    // lowering + GEMM, the always-applicable reference
   kWinograd = 1,  // F(2x2,3x3)/F(4x4,3x3): 3x3 stride-1 only
-  kFft = 2,       // spectral: profitable for large kernels, forward-only
   kDirect = 3,    // naive loops: wins when the lowered matrix is tiny
 };
 
@@ -55,7 +55,7 @@ enum class ConvPhase : int {
   kBackwardFilter = 2,  // dW from X and dY
 };
 
-/// Stable lower-case name ("im2col", "winograd", "fft", "direct").
+/// Stable lower-case name ("im2col", "winograd", "direct").
 const char* to_string(ConvBackendKind kind);
 /// Inverse of to_string; nullopt for unknown names.
 std::optional<ConvBackendKind> parse_backend(const std::string& name);
@@ -112,7 +112,7 @@ class ConvBackend {
   const char* name() const { return to_string(kind()); }
 
   /// Whether this algorithm can compute `p` in `phase` (e.g. Winograd is
-  /// 3x3 stride-1 only; FFT declines the backward phases entirely).
+  /// 3x3 stride-1 only, and declines backward-data at pad > 2).
   virtual bool applicable(const ConvProblem& p,
                           ConvPhase phase = ConvPhase::kForward) const = 0;
 
@@ -199,17 +199,6 @@ const std::vector<const ConvBackend*>& all_backends();
 std::vector<const ConvBackend*> applicable_backends(
     const ConvProblem& p, ConvPhase phase = ConvPhase::kForward);
 
-struct AutotuneOptions;
-
-/// The candidates autotune() actually races for `p` in `phase`:
-/// applicable_backends minus those the analytic flops cutoff rejects
-/// (im2col itself is never rejected). The tune::Space adapter and the
-/// sweep bench share this, so every consumer sees the same candidate
-/// policy.
-std::vector<const ConvBackend*> candidate_backends(
-    const ConvProblem& p, const AutotuneOptions& opt,
-    ConvPhase phase = ConvPhase::kForward);
-
 /// Knobs of the first-sight micro-benchmark.
 struct AutotuneOptions {
   std::size_t warmup = 1;  // untimed runs per candidate
@@ -218,10 +207,6 @@ struct AutotuneOptions {
   /// with the problem geometry and phase so every problem sees the same
   /// data across runs (deterministic tuning inputs).
   std::uint64_t seed = 0x9f15c0deULL;
-  /// Candidates whose analytic FLOPs exceed this multiple of im2col's are
-  /// rejected without timing (keeps e.g. FFT-at-3x3 from burning seconds
-  /// in a first-touch forward pass).
-  double flops_cutoff = 8.0;
 };
 
 /// Measured per-image wall microseconds of `b` on `p` in `phase` (min
@@ -242,10 +227,9 @@ struct ConvPlan {
   bool tuned = false;      // true: micro-benchmarked; false: forced/default
 };
 
-/// Races every applicable (and cutoff-surviving) backend on `p` in the
-/// given phase and execution mode and returns the fastest. im2col is
-/// always among the candidates, so the winner is never slower than the
-/// reference as measured.
+/// Races every applicable backend on `p` in the given phase and execution
+/// mode and returns the fastest. im2col is always among the candidates,
+/// so the winner is never slower than the reference as measured.
 ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt = {},
                   ConvPhase phase = ConvPhase::kForward,
                   bool parallel_ok = false);
@@ -253,8 +237,9 @@ ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt = {},
 /// On-disk plan-cache format version; bumped whenever the schema or the
 /// meaning of a field changes. Files with a different version are
 /// rejected (and re-tuned from scratch). v2 added the batch bucket;
-/// v3 added the SIMD tier ("isa") to the hardware signature.
-inline constexpr int kConvPlanCacheVersion = 3;
+/// v3 added the SIMD tier ("isa") to the hardware signature; v4 dropped
+/// the "fft" backend.
+inline constexpr int kConvPlanCacheVersion = 4;
 
 /// The power-of-two batch bucket a convolution executes under: 1 for
 /// single-image calls (n <= 1), otherwise the next power of two >= n.

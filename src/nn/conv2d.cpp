@@ -24,9 +24,6 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
     case ConvAlgo::kWinograd:
       forced = gemm::ConvBackendKind::kWinograd;
       break;
-    case ConvAlgo::kFft:
-      forced = gemm::ConvBackendKind::kFft;
-      break;
     case ConvAlgo::kDirect:
       forced = gemm::ConvBackendKind::kDirect;
       break;
@@ -38,9 +35,10 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
           .plan(p, phase, parallel_ok, batch)
           .kind;
   }
-  // A forced backend that declines this phase (FFT backward) falls back
-  // to the always-applicable im2col adjoint; the layers' backend query
-  // methods report the fallback, so it is explicit, never silent.
+  // A forced backend that declines this phase (Winograd backward-data at
+  // pad > 2) falls back to the always-applicable im2col adjoint; the
+  // layers' backend query methods report the fallback, so it is
+  // explicit, never silent.
   if (!gemm::backend(forced).applicable(p, phase)) {
     return gemm::ConvBackendKind::kIm2col;
   }

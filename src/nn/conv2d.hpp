@@ -2,7 +2,7 @@
 // Weight layout is OIHW; bias is per output channel.
 //
 // Forward *and* backward dispatch through the gemm::ConvBackend registry:
-// im2col+GEMM, Winograd F(2x2/4x4,3x3), FFT, or direct loops. kAuto
+// im2col+GEMM, Winograd F(2x2/4x4,3x3), or direct loops. kAuto
 // consults the process-wide gemm::ConvPlanCache, which micro-benchmarks
 // applicable backends the first time a (problem, phase) is seen and
 // remembers the winner — forward, backward-data and backward-filter tune
@@ -24,13 +24,14 @@
 
 namespace pf15::nn {
 
-/// Algorithm selection. kIm2col/kWinograd/kFft/kDirect force one
+/// Algorithm selection. kIm2col/kWinograd/kDirect force one
 /// gemm::ConvBackend (construction PF15_CHECKs applicability for
-/// Winograd; FFT/direct apply everywhere); kAuto lets the autotune plan
+/// Winograd; direct applies everywhere); kAuto lets the autotune plan
 /// cache pick per (geometry, phase). A forced backend that declines a
-/// backward phase (FFT) falls back to the im2col adjoint there — the
-/// fallback is explicit via backward_backend(), never silent.
-enum class ConvAlgo { kIm2col, kWinograd, kAuto, kFft, kDirect };
+/// backward phase (Winograd backward-data at pad > 2) falls back to the
+/// im2col adjoint there — the fallback is explicit via
+/// backward_backend(), never silent.
+enum class ConvAlgo { kIm2col, kWinograd, kAuto, kDirect };
 
 struct Conv2dConfig {
   std::size_t in_channels = 0;
@@ -45,9 +46,10 @@ struct Conv2dConfig {
 /// The one algo-to-backend resolution policy, shared by every layer that
 /// dispatches convolution phases (Conv2d, Deconv2d): a forced algo wins
 /// when it supports the phase, falls back to the im2col adjoint when it
-/// declines it (FFT backward), and kAuto asks the global plan cache —
-/// tuning on first sight in the given execution mode and batch bucket
-/// (gemm::conv_batch_bucket of the layer's batch dimension).
+/// declines it (Winograd backward-data at pad > 2), and kAuto asks the
+/// global plan cache — tuning on first sight in the given execution mode
+/// and batch bucket (gemm::conv_batch_bucket of the layer's batch
+/// dimension).
 gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
                                            gemm::ConvPhase phase,
@@ -100,7 +102,8 @@ class Conv2d final : public Layer {
   gemm::ConvBackendKind forward_backend(const Shape& in) const;
   /// The backend `phase` will dispatch to for this input shape: the
   /// forced algo when it supports the phase, the im2col adjoint when it
-  /// declines it (FFT backward), or the plan-cache winner under kAuto.
+  /// declines it (Winograd backward-data at pad > 2), or the plan-cache
+  /// winner under kAuto.
   gemm::ConvBackendKind backward_backend(const Shape& in,
                                          gemm::ConvPhase phase) const;
   /// The backends the latest forward()/backward() actually dispatched to.

@@ -74,9 +74,9 @@ class Layer {
   /// forward() may run inside a task of common::task_scheduler,
   /// concurrently with other graph nodes. The contract: forward must not
   /// touch state shared with other layers, and any internal parallelism
-  /// must go through the task scheduler (TaskScheduler / ThreadPool
-  /// parallel_for — nested waits are legal there) rather than blocking
-  /// on primitives the scheduler cannot help with. Layers the compiler
+  /// must go through the task scheduler (TaskScheduler::parallel_for —
+  /// nested waits are legal there) rather than blocking on primitives
+  /// the scheduler cannot help with. Layers the compiler
   /// lowers to known kinds never consult this; it only gates *opaque*
   /// extension nodes, which otherwise schedule serially between levels.
   virtual bool parallel_ok() const { return false; }

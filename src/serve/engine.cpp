@@ -111,7 +111,6 @@ void ServingEngine::init_replicas(const ModelFactory& factory,
   if (cfg_.compiled) {
     graph::CompileOptions copt;
     copt.max_batch = cfg_.batcher.max_batch;
-    copt.parallel_levels = cfg_.compiled_parallel;
     plans_.reserve(replicas_.size());
     for (auto& r : replicas_) {
       plans_.push_back(std::make_unique<graph::CompiledPlan>(

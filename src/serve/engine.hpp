@@ -53,12 +53,6 @@ struct EngineConfig {
   /// instead of eager Sequential::forward. Output-equivalent to eager
   /// within floating-point tolerance.
   bool compiled = false;
-  /// Level-scheduled concurrent execution of independent graph nodes
-  /// inside each compiled plan (CompileOptions::parallel_levels). The
-  /// plans fan out on the global task scheduler; replica workers live
-  /// on dedicated threads, so replica-level and node-level parallelism
-  /// compose. Ignored when `compiled` is false.
-  bool compiled_parallel = true;
 };
 
 /// Point-in-time serving metrics (percentiles via perf::LatencyRecorder,

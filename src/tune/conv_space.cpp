@@ -4,27 +4,14 @@
 
 namespace pf15::tune {
 
-namespace {
-
-std::vector<double> backend_choices(const gemm::ConvProblem& p,
-                                    const gemm::AutotuneOptions& opt,
-                                    gemm::ConvPhase phase) {
+Space conv_backend_space(const gemm::ConvProblem& p,
+                         gemm::ConvPhase phase) {
   std::vector<double> choices;
-  for (const gemm::ConvBackend* b :
-       gemm::candidate_backends(p, opt, phase)) {
+  for (const gemm::ConvBackend* b : gemm::applicable_backends(p, phase)) {
     choices.push_back(static_cast<double>(static_cast<int>(b->kind())));
   }
-  return choices;
-}
-
-}  // namespace
-
-Space conv_backend_space(const gemm::ConvProblem& p,
-                         const gemm::AutotuneOptions& opt,
-                         gemm::ConvPhase phase) {
   Space space;
-  space.add(
-      Dimension::discrete(kConvBackendDim, backend_choices(p, opt, phase)));
+  space.add(Dimension::discrete(kConvBackendDim, std::move(choices)));
   return space;
 }
 
@@ -41,17 +28,20 @@ gemm::ConvBackendKind decode_backend(const Config& config) {
   const auto it = config.find(kConvBackendDim);
   PF15_CHECK_MSG(it != config.end(),
                  "config lacks a '" << kConvBackendDim << "' dimension");
-  const int raw = static_cast<int>(std::lround(it->second));
-  PF15_CHECK_MSG(raw >= 0 && raw <= 3, "backend code " << raw
-                                                       << " out of range");
-  return static_cast<gemm::ConvBackendKind>(raw);
+  const long raw = std::lround(it->second);
+  for (const gemm::ConvBackend* b : gemm::all_backends()) {
+    if (static_cast<long>(b->kind()) == raw) return b->kind();
+  }
+  PF15_CHECK_MSG(false,
+                 "backend code " << raw << " names no registered backend");
+  return gemm::ConvBackendKind::kIm2col;  // unreachable
 }
 
 gemm::ConvPlan tune_conv_backend(const gemm::ConvProblem& p,
                                  gemm::ConvPlanCache& cache,
                                  const gemm::AutotuneOptions& opt,
                                  gemm::ConvPhase phase) {
-  const Space space = conv_backend_space(p, opt, phase);
+  const Space space = conv_backend_space(p, phase);
   const SearchResult result =
       grid_search(space, conv_backend_objective(p, opt, phase),
                   /*per_dim=*/1);

@@ -21,10 +21,9 @@ inline constexpr const char* kConvBackendDim = "backend";
 
 /// One discrete dimension "backend" whose choices encode the
 /// gemm::ConvBackendKind values applicable to `p` in `phase` (as doubles,
-/// the Space currency). Candidates whose analytic FLOPs exceed
-/// `opt.flops_cutoff` x im2col's are excluded, mirroring autotune().
+/// the Space currency) — the same candidates autotune() races.
 Space conv_backend_space(
-    const gemm::ConvProblem& p, const gemm::AutotuneOptions& opt = {},
+    const gemm::ConvProblem& p,
     gemm::ConvPhase phase = gemm::ConvPhase::kForward);
 
 /// Objective: measured per-image microseconds of the encoded backend on
@@ -34,7 +33,9 @@ Objective conv_backend_objective(
     const gemm::ConvProblem& p, const gemm::AutotuneOptions& opt = {},
     gemm::ConvPhase phase = gemm::ConvPhase::kForward);
 
-/// Decodes a searcher's winning config back to a backend kind.
+/// Decodes a searcher's winning config back to a backend kind. Throws
+/// pf15::Error for a code that names no registered backend (e.g. the
+/// retired value 2).
 gemm::ConvBackendKind decode_backend(const Config& config);
 
 /// Runs grid search over conv_backend_space and installs the winner into

@@ -1,18 +1,16 @@
 // Unit tests for src/common: RNG determinism and distributions, timers,
-// aligned buffers, thread pool, error machinery.
+// aligned buffers, error machinery. The task scheduler has its own suite
+// (test_task_scheduler.cpp).
 #include <gtest/gtest.h>
 
 #include "check_failure.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <set>
-#include <vector>
 
 #include "common/aligned.hpp"
 #include "common/errors.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 
 namespace pf15 {
@@ -149,80 +147,6 @@ TEST(WallTimer, MeasuresElapsed) {
   volatile double x = 0.0;
   for (int i = 0; i < 100000; ++i) x = x + 1.0;
   EXPECT_GE(t.seconds(), 0.0);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(0, 100, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, SubmitReturnsCompletion) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.submit([&] { counter++; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPool, CurrentThreadInPoolIdentifiesWorkers) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.current_thread_in_pool());
-  std::atomic<bool> inside{false};
-  pool.submit([&] { inside = pool.current_thread_in_pool(); }).get();
-  EXPECT_TRUE(inside.load());
-}
-
-TEST(ThreadPool, NestedParallelForCompletes) {
-  // Same-pool nesting used to be a deadlock risk (and a runtime check
-  // failed it loudly); on the work-stealing scheduler a nested wait
-  // executes pending work instead of parking, so nesting is legal by
-  // construction. Two levels of nesting inside a worker task, on a
-  // deliberately small pool so completion cannot rely on idle workers.
-  ThreadPool pool(2);
-  std::atomic<int> leaf{0};
-  pool.submit([&] {
-     pool.parallel_for(0, 4, [&](std::size_t) {
-       pool.parallel_for(0, 8, [&](std::size_t) { leaf++; });
-     });
-   }).get();
-  EXPECT_EQ(leaf.load(), 4 * 8);
-}
-
-TEST(ThreadPool, CrossPoolParallelForIsAllowed) {
-  // A worker of pool A may freely fan out on pool B — each pool wraps
-  // its own scheduler, and waiting helps on the waited scheduler (a
-  // dedicated thread blocking on the compute scheduler composes the
-  // same way).
-  ThreadPool a(2);
-  ThreadPool b(2);
-  std::atomic<int> sum{0};
-  a.submit([&] {
-     b.parallel_for(0, 10, [&](std::size_t i) {
-       sum += static_cast<int>(i);
-     });
-   }).get();
-  EXPECT_EQ(sum.load(), 45);
-}
-
-TEST(ThreadPool, SingleThreadPoolStillWorks) {
-  ThreadPool pool(1);
-  std::atomic<int> sum{0};
-  pool.parallel_for(0, 50, [&](std::size_t i) {
-    sum += static_cast<int>(i);
-  });
-  EXPECT_EQ(sum.load(), 49 * 50 / 2);
 }
 
 TEST(Errors, ConfigErrorCarriesMessage) {

@@ -121,16 +121,27 @@ std::vector<float> reference_backward_filter(
 
 // ---- registry --------------------------------------------------------------
 
-TEST(ConvBackendRegistry, AllFourKindsRegistered) {
+TEST(ConvBackendRegistry, AllThreeKindsRegistered) {
   const auto& table = gemm::all_backends();
-  ASSERT_EQ(table.size(), 4u);
+  ASSERT_EQ(table.size(), 3u);
   EXPECT_EQ(table[0]->kind(), ConvBackendKind::kIm2col);
   EXPECT_EQ(table[1]->kind(), ConvBackendKind::kWinograd);
-  EXPECT_EQ(table[2]->kind(), ConvBackendKind::kFft);
-  EXPECT_EQ(table[3]->kind(), ConvBackendKind::kDirect);
+  EXPECT_EQ(table[2]->kind(), ConvBackendKind::kDirect);
   for (const auto* b : table) {
     EXPECT_EQ(&gemm::backend(b->kind()), b);
   }
+}
+
+TEST(ConvBackendRegistry, RetiredCodeTwoNamesNoBackend) {
+  // Value 2 stays unused so that 0, 1 and 3 keep their meaning in perf
+  // records and tune::Space codes; it must not resolve to a backend.
+  EXPECT_EQ(static_cast<int>(ConvBackendKind::kIm2col), 0);
+  EXPECT_EQ(static_cast<int>(ConvBackendKind::kWinograd), 1);
+  EXPECT_EQ(static_cast<int>(ConvBackendKind::kDirect), 3);
+  const auto retired = static_cast<ConvBackendKind>(2);
+  EXPECT_STREQ(gemm::to_string(retired), "unknown");
+  PF15_EXPECT_CHECK_FAIL(gemm::backend(retired), "unknown ConvBackendKind 2");
+  EXPECT_FALSE(gemm::parse_backend("fft").has_value());
 }
 
 TEST(ConvBackendRegistry, NamesRoundTrip) {
@@ -165,27 +176,6 @@ TEST(ConvBackendRegistry, WinogradApplicabilityIs3x3Stride1) {
   }
 }
 
-TEST(ConvBackendRegistry, FftCoversEveryPhaseOnSquareProblems) {
-  const auto& fft = gemm::backend(ConvBackendKind::kFft);
-  const gemm::ConvProblem p = make_problem(2, 3, 8, 3, 1, 1);
-  for (const ConvPhase phase : gemm::kAllConvPhases) {
-    EXPECT_TRUE(fft.applicable(p, phase));
-  }
-  // The spectral path assumes one transform grid: anisotropic geometry
-  // (non-square kernel, stride or pad) is declined in every phase.
-  gemm::ConvProblem aniso = p;
-  aniso.geom.kernel_h = 5;
-  for (const ConvPhase phase : gemm::kAllConvPhases) {
-    EXPECT_FALSE(fft.applicable(aniso, phase));
-  }
-  aniso = p;
-  aniso.geom.stride_w = 2;
-  EXPECT_FALSE(fft.applicable(aniso, ConvPhase::kBackwardData));
-  aniso = p;
-  aniso.geom.pad_w = 2;
-  EXPECT_FALSE(fft.applicable(aniso, ConvPhase::kBackwardFilter));
-}
-
 TEST(ConvBackendRegistry, WinogradBackwardDataNeedsPadAtMost2) {
   const auto& winograd = gemm::backend(ConvBackendKind::kWinograd);
   EXPECT_TRUE(winograd.applicable(make_problem(2, 3, 8, 3, 1, 1),
@@ -204,20 +194,18 @@ TEST(ConvBackendRegistry, WinogradBackwardDataNeedsPadAtMost2) {
 TEST(ConvBackendRegistry, ApplicableBackendsFilters) {
   const auto for_5x5 =
       gemm::applicable_backends(make_problem(2, 3, 9, 5, 2, 2));
-  ASSERT_EQ(for_5x5.size(), 3u);  // everyone but Winograd
+  ASSERT_EQ(for_5x5.size(), 2u);  // everyone but Winograd
   const auto for_3x3 =
       gemm::applicable_backends(make_problem(2, 3, 9, 3, 1, 1));
-  EXPECT_EQ(for_3x3.size(), 4u);
-  // Backward: the full field stays in the race — FFT included — so the
-  // autotuner can pick a spectral backward plan where it wins.
+  EXPECT_EQ(for_3x3.size(), 3u);
+  // Backward: the full field stays in the race.
   const auto bwd_3x3 = gemm::applicable_backends(
       make_problem(2, 3, 9, 3, 1, 1), ConvPhase::kBackwardData);
-  ASSERT_EQ(bwd_3x3.size(), 4u);
-  bool fft_races = false;
-  for (const auto* b : bwd_3x3) {
-    fft_races = fft_races || b->kind() == ConvBackendKind::kFft;
-  }
-  EXPECT_TRUE(fft_races);
+  EXPECT_EQ(bwd_3x3.size(), 3u);
+  // Winograd declines backward-data at pad 3.
+  const auto bwd_pad3 = gemm::applicable_backends(
+      make_problem(2, 3, 9, 3, 1, 3), ConvPhase::kBackwardData);
+  EXPECT_EQ(bwd_pad3.size(), 2u);
 }
 
 // ---- numerical agreement ---------------------------------------------------
@@ -436,11 +424,11 @@ TEST(Autotune, BenchmarkRejectsInapplicableBackend) {
       gemm::benchmark_backend(gemm::backend(ConvBackendKind::kWinograd),
                               strided, fast_tune()),
       "not applicable");
-  gemm::ConvProblem aniso = make_problem(2, 2, 8, 3, 1, 1);
-  aniso.geom.pad_w = 2;  // anisotropic pad: FFT declines every phase
+  // Winograd declines backward-data at pad 3 (but not forward).
   PF15_EXPECT_CHECK_FAIL(
-      gemm::benchmark_backend(gemm::backend(ConvBackendKind::kFft), aniso,
-                              fast_tune(), ConvPhase::kBackwardData),
+      gemm::benchmark_backend(gemm::backend(ConvBackendKind::kWinograd),
+                              make_problem(2, 2, 8, 3, 1, 3), fast_tune(),
+                              ConvPhase::kBackwardData),
       "not applicable");
 }
 
@@ -804,16 +792,72 @@ TEST(PlanCachePersistence, MismatchedIsaSignatureIsRejected) {
   std::remove(path.c_str());
 }
 
-TEST(Autotune, FftRacesInBackwardPhases) {
-  // The spectral adjoints must actually enter the per-phase benchmark
-  // race, not just pass the applicability filter.
-  const gemm::ConvProblem p = make_problem(2, 2, 8, 3, 1, 1);
-  for (const ConvPhase phase :
-       {ConvPhase::kBackwardData, ConvPhase::kBackwardFilter}) {
-    const double us = gemm::benchmark_backend(
-        gemm::backend(ConvBackendKind::kFft), p, fast_tune(), phase);
-    EXPECT_GT(us, 0.0);
+TEST(PlanCachePersistence, MalformedNumbersAreRejectedByName) {
+  // Converting a negative, fractional or out-of-range double to an
+  // integer type is undefined behaviour, so the loader must refuse such
+  // numbers before any conversion, naming the field.
+  gemm::ConvPlanCache cache(fast_tune());
+  cache.plan(make_problem(2, 3, 10, 3, 1, 1));
+  const std::string doc = cache.dump();
+  const struct {
+    const char* field;
+    const char* value;
+  } cases[] = {
+      {"in_c", "-1"},     {"stride_h", "0"},     {"in_c", "1e300"},
+      {"in_h", "8.5"},    {"batch", "-3"},       {"best_us", "-5"},
+      {"version", "4.5"}, {"im2col_us", "1e999"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.field) + " = " + c.value);
+    const std::string key = "\"" + std::string(c.field) + "\": ";
+    std::string bad = doc;
+    const auto pos = bad.find(key);
+    ASSERT_NE(pos, std::string::npos);
+    const auto begin = pos + key.size();
+    bad.replace(begin, bad.find_first_of(",\n}", begin) - begin, c.value);
+    gemm::ConvPlanCache fresh(fast_tune());
+    try {
+      fresh.load_document(bad, "test");
+      ADD_FAILURE() << "malformed document was accepted";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(c.field) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(fresh.size(), 0u);
   }
+  // Pads may be 0.
+  std::string zero_pad = doc;
+  const auto pos = zero_pad.find("\"pad_w\": 1");
+  ASSERT_NE(pos, std::string::npos);
+  zero_pad.replace(pos, 10, "\"pad_w\": 0");
+  gemm::ConvPlanCache fresh(fast_tune());
+  EXPECT_NO_THROW(fresh.load_document(zero_pad, "test"));
+}
+
+TEST(PlanCachePersistence, VersionThreeFileIsRejectedThenRetuned) {
+  // Files written before the FFT backend was removed carry version 3 and
+  // may name "fft". They fail the version check with a named IoError and
+  // leave the cache empty, so the problem tunes again from scratch.
+  const std::string path = temp_cache_path("v3");
+  {
+    std::ofstream out(path);
+    out << "{\"format\": \"pf15.conv_plan_cache\", \"version\": 3, "
+           "\"hardware\": {}, \"plans\": []}";
+  }
+  gemm::ConvPlanCache cache(fast_tune());
+  try {
+    cache.load(path);
+    ADD_FAILURE() << "version-3 file was accepted";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("format version 3 != expected 4"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  cache.plan(make_problem(2, 3, 10, 3, 1, 1));
+  EXPECT_EQ(cache.misses(), 1u);
+  std::remove(path.c_str());
 }
 
 // ---- Conv2d dispatch -------------------------------------------------------
@@ -851,8 +895,8 @@ TEST(Conv2dDispatch, EveryForcedBackendMatchesIm2colThroughSequential) {
 
   nn::Sequential reference = build(nn::ConvAlgo::kIm2col);
   const Tensor& ref_out = reference.forward(input);
-  for (auto algo : {nn::ConvAlgo::kWinograd, nn::ConvAlgo::kFft,
-                    nn::ConvAlgo::kDirect, nn::ConvAlgo::kAuto}) {
+  for (auto algo : {nn::ConvAlgo::kWinograd, nn::ConvAlgo::kDirect,
+                    nn::ConvAlgo::kAuto}) {
     nn::Sequential net = build(algo);
     const Tensor& out = net.forward(input);
     ASSERT_EQ(out.shape(), ref_out.shape());
@@ -871,15 +915,10 @@ TEST(Conv2dDispatch, ForcedBackendsReportThemselvesEveryPhase) {
   const struct {
     nn::ConvAlgo algo;
     ConvBackendKind kind;
-    ConvBackendKind backward_kind;  // im2col when the algo declines it
   } cases[] = {
-      {nn::ConvAlgo::kIm2col, ConvBackendKind::kIm2col,
-       ConvBackendKind::kIm2col},
-      {nn::ConvAlgo::kWinograd, ConvBackendKind::kWinograd,
-       ConvBackendKind::kWinograd},
-      {nn::ConvAlgo::kFft, ConvBackendKind::kFft, ConvBackendKind::kFft},
-      {nn::ConvAlgo::kDirect, ConvBackendKind::kDirect,
-       ConvBackendKind::kDirect},
+      {nn::ConvAlgo::kIm2col, ConvBackendKind::kIm2col},
+      {nn::ConvAlgo::kWinograd, ConvBackendKind::kWinograd},
+      {nn::ConvAlgo::kDirect, ConvBackendKind::kDirect},
   };
   for (const auto& c : cases) {
     Rng rng(7);
@@ -887,17 +926,17 @@ TEST(Conv2dDispatch, ForcedBackendsReportThemselvesEveryPhase) {
     EXPECT_EQ(conv.forward_backend(in_shape), c.kind);
     conv.forward(input, out);
     EXPECT_EQ(conv.last_forward_backend(), c.kind);
-    // Backward dispatches per phase; every forced backend — FFT's
-    // spectral adjoints included — now covers both gradient phases.
+    // Backward dispatches per phase; at pad 1 every forced backend
+    // covers both gradient phases.
     EXPECT_EQ(conv.backward_backend(in_shape, ConvPhase::kBackwardData),
-              c.backward_kind);
+              c.kind);
     EXPECT_EQ(conv.backward_backend(in_shape, ConvPhase::kBackwardFilter),
-              c.backward_kind);
+              c.kind);
     Tensor dout(out.shape());
     dout.fill_uniform(rng, -1.0f, 1.0f);
     conv.backward(input, dout, din);
-    EXPECT_EQ(conv.last_backward_data_backend(), c.backward_kind);
-    EXPECT_EQ(conv.last_backward_filter_backend(), c.backward_kind);
+    EXPECT_EQ(conv.last_backward_data_backend(), c.kind);
+    EXPECT_EQ(conv.last_backward_filter_backend(), c.kind);
   }
 }
 
@@ -1091,20 +1130,6 @@ TEST(Deconv2dDispatch, ForcedBackendsMatchIm2colForward) {
   for (std::size_t i = 0; i < out.numel(); ++i) {
     ASSERT_NEAR(out.data()[i], ref_out.data()[i], 1e-4f) << "element " << i;
   }
-  // FFT now carries a spectral backward-data, so a forced FFT deconv
-  // forward stays spectral — and must agree with the im2col adjoint.
-  nn::Deconv2d fft = build(nn::ConvAlgo::kFft);
-  EXPECT_EQ(fft.phase_backend(in_shape, ConvPhase::kBackwardData),
-            ConvBackendKind::kFft);
-  EXPECT_EQ(fft.phase_backend(in_shape, ConvPhase::kForward),
-            ConvBackendKind::kFft);
-  Tensor fft_out;
-  fft.forward(input, fft_out);
-  ASSERT_EQ(fft_out.shape(), ref_out.shape());
-  for (std::size_t i = 0; i < fft_out.numel(); ++i) {
-    ASSERT_NEAR(fft_out.data()[i], ref_out.data()[i], 1e-4f)
-        << "element " << i;
-  }
 }
 
 TEST(Deconv2dDispatch, ForcedWinogradOnBadGeometryIsRefused) {
@@ -1167,23 +1192,32 @@ TEST(Deconv2dDispatch, Stride1WinogradPathGradientCheck) {
 
 TEST(ConvSpace, EncodesApplicableBackendsPerPhase) {
   const gemm::ConvProblem p = make_problem(2, 3, 10, 3, 1, 1);
-  const tune::Space space = tune::conv_backend_space(p);
-  ASSERT_EQ(space.size(), 1u);
-  const auto& dim = space.dimensions()[0];
-  EXPECT_EQ(dim.name, tune::kConvBackendDim);
-  // 3x3 stride-1: im2col, winograd, direct always; fft only if it clears
-  // the flops cutoff.
-  EXPECT_GE(dim.choices.size(), 3u);
-  for (double choice : dim.choices) {
-    tune::Config config{{tune::kConvBackendDim, choice}};
-    EXPECT_TRUE(gemm::backend(tune::decode_backend(config)).applicable(p));
+  // The space encodes exactly the backends autotune races, per phase.
+  for (const gemm::ConvProblem& prob :
+       {p, make_problem(2, 3, 10, 3, 1, 3), make_problem(2, 3, 9, 5, 2, 2)}) {
+    for (const ConvPhase phase : gemm::kAllConvPhases) {
+      const tune::Space space = tune::conv_backend_space(prob, phase);
+      ASSERT_EQ(space.size(), 1u);
+      const auto& dim = space.dimensions()[0];
+      EXPECT_EQ(dim.name, tune::kConvBackendDim);
+      const auto racers = gemm::applicable_backends(prob, phase);
+      ASSERT_EQ(dim.choices.size(), racers.size());
+      for (std::size_t i = 0; i < racers.size(); ++i) {
+        tune::Config config{{tune::kConvBackendDim, dim.choices[i]}};
+        EXPECT_EQ(tune::decode_backend(config), racers[i]->kind());
+      }
+    }
   }
-  // Backward space never encodes FFT.
-  const tune::Space bwd_space = tune::conv_backend_space(
-      p, gemm::AutotuneOptions{}, ConvPhase::kBackwardFilter);
-  for (double choice : bwd_space.dimensions()[0].choices) {
-    tune::Config config{{tune::kConvBackendDim, choice}};
-    EXPECT_NE(tune::decode_backend(config), ConvBackendKind::kFft);
+  // 3x3 stride-1 forward: im2col, winograd, direct.
+  EXPECT_EQ(tune::conv_backend_space(p).dimensions()[0].choices.size(), 3u);
+}
+
+TEST(ConvSpace, DecodeRejectsCodesOfNoRegisteredBackend) {
+  // Code 2 is retired; it must not pass the range check into backend().
+  for (double code : {2.0, -1.0, 4.0}) {
+    tune::Config config{{tune::kConvBackendDim, code}};
+    PF15_EXPECT_CHECK_FAIL(tune::decode_backend(config),
+                           "names no registered backend");
   }
 }
 

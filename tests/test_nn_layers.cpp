@@ -717,8 +717,7 @@ struct ForcedBackend {
 constexpr ForcedBackend kForcedBackends[] = {
     {ConvAlgo::kIm2col, gemm::ConvBackendKind::kIm2col},
     {ConvAlgo::kWinograd, gemm::ConvBackendKind::kWinograd},
-    {ConvAlgo::kDirect, gemm::ConvBackendKind::kDirect},
-    {ConvAlgo::kFft, gemm::ConvBackendKind::kFft}};
+    {ConvAlgo::kDirect, gemm::ConvBackendKind::kDirect}};
 /// 32x32 spreads the im2col filter GEMM's K = 1024 over four KC blocks;
 /// 8x8 (K = 64) fits in one.
 constexpr std::size_t kBackwardSides[] = {32, 8};

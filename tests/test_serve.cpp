@@ -10,12 +10,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "data/hep_generator.hpp"
 #include "gemm/conv_backend.hpp"
+#include "gemm/simd.hpp"
 #include "graph/compiled_plan.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -805,6 +807,96 @@ TEST(CompiledServing, CheckpointCarriesPlansForColdWarmStart) {
   }
   engine.shutdown();
   std::remove(path.c_str());
+}
+
+/// A plan document written by hand the way an older process wrote it:
+/// this host's hardware signature and one forward entry for the first
+/// conv of the tiny HEP net (3 -> 8 channels, 3x3, 32 px).
+std::string handwritten_plan_doc(int version, const char* backend) {
+  std::ostringstream doc;
+  doc << "{\"format\": \"pf15.conv_plan_cache\", \"version\": " << version
+      << ", \"hardware\": {\"threads\": "
+      << std::thread::hardware_concurrency()
+      << ", \"pointer_bits\": " << 8 * sizeof(void*) << ", \"isa\": \""
+      << gemm::simd_isa_string() << "\"}, \"plans\": [{\"in_c\": 3, "
+      << "\"in_h\": 32, \"in_w\": 32, \"kernel_h\": 3, \"kernel_w\": 3, "
+      << "\"stride_h\": 1, \"stride_w\": 1, \"pad_h\": 1, \"pad_w\": 1, "
+      << "\"out_c\": 8, \"phase\": \"forward\", \"parallel_ok\": true, "
+      << "\"batch\": 8, \"backend\": \"" << backend << "\", "
+      << "\"best_us\": 10, \"im2col_us\": 20, \"tuned\": true}]}";
+  return doc.str();
+}
+
+TEST(CompiledServing, VersionThreePlanSectionIsIgnoredAndRetuned) {
+  // Every plan-carrying checkpoint written before the format moved to
+  // version 4 takes this path: the embedded section fails the version
+  // check, the engine logs that it ignores it, tunes from scratch and
+  // still serves correct results.
+  const nn::HepConfig net_cfg = nn::HepConfig::tiny();  // kAuto
+  auto factory = [&] { return nn::build_hep_network(net_cfg); };
+  nn::Sequential trained = factory();
+  const std::string path = "test_serve_v3_plans_ckpt.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    serve::checkpoint_model(out, trained, "hep");
+    serve::write_embedded_plans(out, handwritten_plan_doc(3, "fft"));
+  }
+
+  gemm::ConvPlanCache::global().clear();
+  serve::EngineConfig cfg = tiny_engine_config(2, 8);
+  cfg.compiled = true;
+  serve::ServingEngine engine(factory, path, "hep", cfg);
+  ASSERT_NE(engine.compile_report(), nullptr);
+  EXPECT_GT(engine.compile_report()->pretune_misses, 0u);
+
+  nn::Sequential reference = factory();
+  serve::restore_model_file(path, reference, "hep");
+  reference.set_training(false);
+  Rng rng(37);
+  for (int i = 0; i < 4; ++i) {
+    Tensor sample(Shape{3, 32, 32});
+    sample.fill_uniform(rng, -1.0f, 1.0f);
+    Tensor got = engine.submit(sample).get();
+    Tensor single = stack_samples({&sample});
+    const Tensor& want = reference.forward(single);
+    ASSERT_EQ(got.numel(), want.numel());
+    for (std::size_t j = 0; j < got.numel(); ++j) {
+      const double tol =
+          1e-4 * (1.0 + std::abs(static_cast<double>(want.at(j))));
+      EXPECT_NEAR(got.at(j), want.at(j), tol) << "request " << i;
+    }
+  }
+  engine.shutdown();
+  std::remove(path.c_str());
+}
+
+TEST(CompiledServing, VersionFourPlanSectionNamingFftIsRejected) {
+  // "fft" is no longer a backend: a current-version section naming it
+  // is corrupt, not a plan to dispatch.
+  nn::Sequential net = nn::build_hep_network(nn::HepConfig::tiny());
+  std::stringstream stream(std::ios::in | std::ios::out |
+                           std::ios::binary);
+  serve::checkpoint_model(stream, net, "hep");
+  serve::write_embedded_plans(
+      stream, handwritten_plan_doc(gemm::kConvPlanCacheVersion, "fft"));
+  nn::Sequential restored = nn::build_hep_network(nn::HepConfig::tiny());
+  serve::restore_model(stream, restored, "hep");
+  const std::string plans = serve::read_embedded_plans(stream);
+  gemm::ConvPlanCache cache;
+  try {
+    cache.load_document(plans, "checkpoint");
+    ADD_FAILURE() << "a plan naming fft was accepted";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown backend 'fft'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  // The same section with a registered backend loads.
+  cache.load_document(
+      handwritten_plan_doc(gemm::kConvPlanCacheVersion, "im2col"),
+      "checkpoint");
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(CompiledServing, PlainCheckpointsStillReadAndCarryNoPlans) {

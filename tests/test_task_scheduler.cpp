@@ -80,6 +80,29 @@ TEST(TaskScheduler, SingleWorkerStillCompletesNestedWork) {
   EXPECT_EQ(leaf.load(), 16);
 }
 
+TEST(TaskScheduler, CrossSchedulerParallelForIsAllowed) {
+  // A worker of scheduler A may fan out on scheduler B: its wait helps
+  // on B. CompileOptions::scheduler relies on this — a node of a plan
+  // compiled onto a private scheduler waits on the global one inside the
+  // conv backends. A detached task runs only on A's single worker, so
+  // the waiting thread is that worker, never the test thread.
+  TaskScheduler a(1);
+  TaskScheduler b(2);
+  std::atomic<int> sum{0};
+  std::atomic<bool> on_a_worker{false};
+  std::atomic<bool> done{false};
+  a.spawn_detached([&] {
+    on_a_worker = a.current_thread_in_scheduler();
+    b.parallel_for(0, 10, [&](std::size_t i) {
+      sum += static_cast<int>(i);
+    });
+    done = true;
+  });
+  while (!done.load()) std::this_thread::yield();
+  EXPECT_TRUE(on_a_worker.load());
+  EXPECT_EQ(sum.load(), 45);
+}
+
 TEST(TaskScheduler, CurrentThreadInSchedulerIdentifiesWorkers) {
   TaskScheduler sched(2);
   EXPECT_FALSE(sched.current_thread_in_scheduler());
