@@ -2,7 +2,10 @@
 // representative HEP-net and climate-net layer geometries — forward,
 // backward-data and backward-filter — compared with the autotune plan
 // cache's per-phase pick, plus a batched mode that drives the nn::Conv2d
-// scheduler batch loop end to end (forward and backward). Everything is
+// scheduler batch loop end to end (forward and backward). The climate
+// decoder's two largest deconvolutions get the same per-phase sweep and
+// a batched nn::Deconv2d run in a separate "decoder" section; the summary
+// and the exit code cover the convolution geometries only. Everything is
 // recorded as a machine-readable JSON perf record
 // (BENCH_conv_backends.json) so the perf trajectory of the system's
 // hottest path is tracked PR over PR.
@@ -25,6 +28,7 @@
 #include "common/timer.hpp"
 #include "gemm/conv_backend.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/deconv2d.hpp"
 #include "perf/json.hpp"
 #include "perf/report.hpp"
 #include "tensor/tensor.hpp"
@@ -74,6 +78,28 @@ std::vector<NamedProblem> geometries() {
       {"climate.wide_3x3", "climate", make_problem(32, 32, 96, 3, 1, 1),
        /*wide_tile=*/true},
   };
+}
+
+// The climate decoder's two largest 6x6/2 pad-2 deconvolutions at the
+// benchmarked training scale (64 px, 16 channels, widths {16, 32, ...}),
+// as the convolutions they run: in_c and hw are a deconv's output
+// channels and side, out_c its input channels.
+std::vector<NamedProblem> decoder_geometries() {
+  return {
+      {"climate.dec_deconv4", "climate", make_problem(16, 32, 32, 6, 2, 2)},
+      {"climate.dec_deconv5", "climate", make_problem(16, 16, 64, 6, 2, 2)},
+  };
+}
+
+perf::Json geometry_record(const NamedProblem& np) {
+  perf::Json geom = perf::Json::object();
+  geom.set("in_c", np.problem.geom.in_c);
+  geom.set("out_c", np.problem.out_c);
+  geom.set("hw", np.problem.geom.in_h);
+  geom.set("kernel", np.problem.geom.kernel_h);
+  geom.set("stride", np.problem.geom.stride_h);
+  geom.set("pad", np.problem.geom.pad_h);
+  return geom;
 }
 
 /// Times `reps` calls of `fn` (one untimed warmup), returns min seconds.
@@ -153,60 +179,69 @@ int main(int argc, char** argv) {
   std::size_t wide_tiles = 0;
   std::size_t non_im2col_wide_backward = 0;
 
+  // One phase of one problem: every applicable backend's per-image time
+  // (unless --no-sweep) and the plan cache's pick. Returns whether the
+  // pick is no slower than im2col.
+  const auto sweep_phase = [&](const NamedProblem& np,
+                               gemm::ConvPhase phase,
+                               const gemm::ConvPlan& plan,
+                               perf::Json& phases) {
+    perf::Json phase_rec = perf::Json::object();
+    if (!no_sweep) {
+      perf::Json backends = perf::Json::array();
+      // The same candidates autotune races.
+      for (const gemm::ConvBackend* b :
+           gemm::applicable_backends(np.problem, phase)) {
+        perf::Json entry = perf::Json::object();
+        entry.set("backend", b->name());
+        const double b_flops =
+            static_cast<double>(b->flops(np.problem, phase));
+        const double us = gemm::benchmark_backend(*b, np.problem, opt, phase);
+        entry.set("us_per_image", us);
+        entry.set("gflops", b_flops / us * 1e-3);
+        backends.push_back(std::move(entry));
+        table.add_row({np.name, gemm::to_string(phase), b->name(),
+                       perf::Table::num(us, 1),
+                       perf::Table::num(b_flops / us * 1e-3, 2),
+                       b->kind() == plan.kind ? "<== plan" : ""});
+      }
+      phase_rec.set("backends", std::move(backends));
+    }
+
+    perf::Json chosen = perf::Json::object();
+    chosen.set("backend", gemm::to_string(plan.kind));
+    chosen.set("us_per_image", plan.best_us);
+    chosen.set("im2col_us", plan.im2col_us);
+    chosen.set("speedup_vs_im2col",
+               plan.best_us > 0 ? plan.im2col_us / plan.best_us : 0.0);
+    // The plan is the argmin of the same micro-benchmark that produced
+    // im2col_us, so this holds by construction up to re-measure noise.
+    const bool not_slower = plan.best_us <= plan.im2col_us * 1.0001;
+    chosen.set("not_slower_than_im2col", not_slower);
+    phase_rec.set("plan", std::move(chosen));
+    phases.set(gemm::to_string(phase), std::move(phase_rec));
+    return not_slower;
+  };
+  // Installs the tuned plans into the global cache, so a kAuto layer
+  // dispatches to exactly the plans measured above.
+  const auto install_plans = [&](const gemm::ConvProblem& p) {
+    for (const gemm::ConvPhase phase : gemm::kAllConvPhases) {
+      gemm::ConvPlanCache::global().insert(p, phase, cache.plan(p, phase));
+    }
+  };
+
   for (const NamedProblem& np : geometries()) {
     perf::Json row = perf::Json::object();
     row.set("name", np.name);
     row.set("net", np.net);
     row.set("wide_tile", np.wide_tile);
     if (np.wide_tile) ++wide_tiles;
-    perf::Json geom = perf::Json::object();
-    geom.set("in_c", np.problem.geom.in_c);
-    geom.set("out_c", np.problem.out_c);
-    geom.set("hw", np.problem.geom.in_h);
-    geom.set("kernel", np.problem.geom.kernel_h);
-    geom.set("stride", np.problem.geom.stride_h);
-    geom.set("pad", np.problem.geom.pad_h);
-    row.set("geometry", std::move(geom));
+    row.set("geometry", geometry_record(np));
 
     perf::Json phases = perf::Json::object();
     for (const gemm::ConvPhase phase : gemm::kAllConvPhases) {
       const gemm::ConvPlan plan = cache.plan(np.problem, phase);
-      perf::Json phase_rec = perf::Json::object();
-
-      if (!no_sweep) {
-        perf::Json backends = perf::Json::array();
-        // The same candidates autotune races.
-        for (const gemm::ConvBackend* b :
-             gemm::applicable_backends(np.problem, phase)) {
-          perf::Json entry = perf::Json::object();
-          entry.set("backend", b->name());
-          const double b_flops =
-              static_cast<double>(b->flops(np.problem, phase));
-          const double us =
-              gemm::benchmark_backend(*b, np.problem, opt, phase);
-          entry.set("us_per_image", us);
-          entry.set("gflops", b_flops / us * 1e-3);
-          backends.push_back(std::move(entry));
-          table.add_row({np.name, gemm::to_string(phase), b->name(),
-                         perf::Table::num(us, 1),
-                         perf::Table::num(b_flops / us * 1e-3, 2),
-                         b->kind() == plan.kind ? "<== plan" : ""});
-        }
-        phase_rec.set("backends", std::move(backends));
-      }
-
-      perf::Json chosen = perf::Json::object();
-      chosen.set("backend", gemm::to_string(plan.kind));
-      chosen.set("us_per_image", plan.best_us);
-      chosen.set("im2col_us", plan.im2col_us);
-      chosen.set("speedup_vs_im2col",
-                 plan.best_us > 0 ? plan.im2col_us / plan.best_us : 0.0);
-      // The plan is the argmin of the same micro-benchmark that produced
-      // im2col_us, so this holds by construction up to re-measure noise.
-      const bool not_slower = plan.best_us <= plan.im2col_us * 1.0001;
-      chosen.set("not_slower_than_im2col", not_slower);
-      phase_rec.set("plan", std::move(chosen));
-      phases.set(gemm::to_string(phase), std::move(phase_rec));
+      const bool not_slower = sweep_phase(np, phase, plan, phases);
 
       if (phase == gemm::ConvPhase::kForward) {
         fwd_never_slower = fwd_never_slower && not_slower;
@@ -224,14 +259,9 @@ int main(int argc, char** argv) {
     row.set("phases", std::move(phases));
 
     if (!no_sweep && batch > 1) {
-      // End-to-end scheduler batch loop through the nn::Conv2d layer:
-      // install the tuned plans into the global cache so kAuto dispatches
-      // to exactly the plans measured above, then time forward and
-      // backward over a full batch.
-      for (const gemm::ConvPhase phase : gemm::kAllConvPhases) {
-        gemm::ConvPlanCache::global().insert(np.problem, phase,
-                                             cache.plan(np.problem, phase));
-      }
+      // End-to-end scheduler batch loop through the nn::Conv2d layer,
+      // forward and backward over a full batch.
+      install_plans(np.problem);
       Rng rng(0x9f15);
       nn::Conv2dConfig cfg;
       cfg.in_channels = np.problem.geom.in_c;
@@ -276,8 +306,75 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
+  // The decoder section: per-phase sweep and plans as above, and the
+  // batched nn::Deconv2d loop. Remember the swap: the layer's forward
+  // runs the convolution's backward_data phase, its backward runs the
+  // forward and backward_filter phases.
+  perf::Json decoder_rows = perf::Json::array();
+  for (const NamedProblem& np : decoder_geometries()) {
+    perf::Json row = perf::Json::object();
+    row.set("name", np.name);
+    row.set("net", np.net);
+    row.set("geometry", geometry_record(np));
+    perf::Json phases = perf::Json::object();
+    for (const gemm::ConvPhase phase : gemm::kAllConvPhases) {
+      sweep_phase(np, phase, cache.plan(np.problem, phase), phases);
+    }
+    row.set("phases", std::move(phases));
+
+    if (!no_sweep && batch > 1) {
+      install_plans(np.problem);
+      Rng rng(0x9f15);
+      nn::Deconv2dConfig cfg;
+      cfg.in_channels = np.problem.out_c;
+      cfg.out_channels = np.problem.geom.in_c;
+      cfg.kernel = np.problem.geom.kernel_h;
+      cfg.stride = np.problem.geom.stride_h;
+      cfg.pad = np.problem.geom.pad_h;
+      cfg.algo = nn::ConvAlgo::kAuto;
+      nn::Deconv2d deconv("bench", cfg, rng);
+      Tensor input(Shape{batch, np.problem.out_c, np.problem.geom.out_h(),
+                         np.problem.geom.out_w()});
+      input.fill_uniform(rng, -1.0f, 1.0f);
+      Tensor out, din;
+      const double fwd_s =
+          time_min(opt.reps, [&] { deconv.forward(input, out); });
+      Tensor dout(out.shape());
+      dout.fill_uniform(rng, -1.0f, 1.0f);
+      const double bwd_s =
+          time_min(opt.reps, [&] { deconv.backward(input, dout, din); });
+
+      perf::Json batched = perf::Json::object();
+      batched.set("batch", batch);
+      batched.set("forward_us_per_image",
+                  fwd_s * 1e6 / static_cast<double>(batch));
+      batched.set("backward_us_per_image",
+                  bwd_s * 1e6 / static_cast<double>(batch));
+      // Keyed by convolution phase, like "phases".
+      perf::Json backends = perf::Json::object();
+      for (const gemm::ConvPhase phase : gemm::kAllConvPhases) {
+        backends.set(gemm::to_string(phase),
+                     gemm::to_string(deconv.phase_backend(input.shape(),
+                                                          phase)));
+      }
+      batched.set("phase_backends", std::move(backends));
+      row.set("batched", std::move(batched));
+      table.add_row(
+          {np.name, "batched fwd",
+           gemm::to_string(deconv.phase_backend(
+               input.shape(), gemm::ConvPhase::kBackwardData)),
+           perf::Table::num(fwd_s * 1e6 / batch, 1), "", ""});
+      table.add_row({np.name, "batched bwd",
+                     gemm::to_string(deconv.phase_backend(
+                         input.shape(), gemm::ConvPhase::kForward)),
+                     perf::Table::num(bwd_s * 1e6 / batch, 1), "", ""});
+    }
+    decoder_rows.push_back(std::move(row));
+  }
+
   const std::uint64_t first_sight_tunes = cache.misses();
   record.set("geometries", std::move(rows));
+  record.set("decoder", std::move(decoder_rows));
   perf::Json summary = perf::Json::object();
   summary.set("plan_never_slower_than_im2col", fwd_never_slower);
   summary.set("backward_plans_never_slower_than_im2col", bwd_never_slower);

@@ -28,7 +28,7 @@ class SequentialTrainable final : public hybrid::TrainableModel {
     const Tensor& logits = net_.forward(batch.images);
     const double loss =
         loss_.forward_backward(logits, batch.labels, probs_, dlogits_);
-    net_.backward(batch.images, dlogits_);
+    net_.backward_params(batch.images, dlogits_);
     return loss;
   }
 
@@ -104,7 +104,7 @@ int main() {
       const data::Batch batch = make_batch(train_gen, 8);
       const Tensor& logits = c.net.forward(batch.images);
       last_loss = ce.forward_backward(logits, batch.labels, probs, dlogits);
-      c.net.backward(batch.images, dlogits);
+      c.net.backward_params(batch.images, dlogits);
       adam.step();
     }
     const double acc = evaluate_accuracy(c.net, test_gen, 100);

@@ -19,6 +19,7 @@
 #include "gemm/gemm.hpp"
 #include "gemm/scratch.hpp"
 #include "gemm/simd.hpp"
+#include "gemm/subpixel.hpp"
 #include "gemm/winograd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -34,6 +35,8 @@ const char* to_string(ConvBackendKind kind) {
       return "winograd";
     case ConvBackendKind::kDirect:
       return "direct";
+    case ConvBackendKind::kSubpixel:
+      return "subpixel";
   }
   return "unknown";
 }
@@ -42,6 +45,7 @@ std::optional<ConvBackendKind> parse_backend(const std::string& name) {
   if (name == "im2col") return ConvBackendKind::kIm2col;
   if (name == "winograd") return ConvBackendKind::kWinograd;
   if (name == "direct") return ConvBackendKind::kDirect;
+  if (name == "subpixel") return ConvBackendKind::kSubpixel;
   return std::nullopt;
 }
 
@@ -105,6 +109,20 @@ void add_bias(const float* bias, std::size_t out_c, std::size_t plane,
   }
 }
 
+/// One GEMM of a backend phase: fanned out on the scheduler when the
+/// caller permits it, strictly serial otherwise.
+void phase_sgemm(bool parallel_ok, bool trans_a, bool trans_b, std::size_t m,
+                 std::size_t n, std::size_t k, const float* a,
+                 std::size_t lda, const float* b, std::size_t ldb, float beta,
+                 float* c, std::size_t ldc) {
+  if (parallel_ok) {
+    sgemm_parallel(trans_a, trans_b, m, n, k, 1.0f, a, lda, b, ldb, beta, c,
+                   ldc);
+  } else {
+    sgemm(trans_a, trans_b, m, n, k, 1.0f, a, lda, b, ldb, beta, c, ldc);
+  }
+}
+
 // ---- im2col + GEMM ---------------------------------------------------------
 
 class Im2colBackend final : public ConvBackend {
@@ -124,12 +142,8 @@ class Im2colBackend final : public ConvBackend {
     ScratchLease col_lease(k * n);
     float* col = col_lease.data();
     im2col(p.geom, image, col);
-    if (parallel_ok) {
-      sgemm_parallel(false, false, m, n, k, 1.0f, weight, k, col, n, 0.0f,
-                     out, n);
-    } else {
-      sgemm(false, false, m, n, k, 1.0f, weight, k, col, n, 0.0f, out, n);
-    }
+    phase_sgemm(parallel_ok, false, false, m, n, k, weight, k, col, n, 0.0f,
+                out, n);
     add_bias(bias, m, n, out);
   }
 
@@ -142,12 +156,8 @@ class Im2colBackend final : public ConvBackend {
     ScratchLease dcol_lease(k * n);
     float* dcol = dcol_lease.data();
     // dcol = W^T (k x m) * dout (m x n); din = col2im(dcol).
-    if (parallel_ok) {
-      sgemm_parallel(true, false, k, n, m, 1.0f, weight, k, dout, n, 0.0f,
-                     dcol, n);
-    } else {
-      sgemm(true, false, k, n, m, 1.0f, weight, k, dout, n, 0.0f, dcol, n);
-    }
+    phase_sgemm(parallel_ok, true, false, k, n, m, weight, k, dout, n, 0.0f,
+                dcol, n);
     std::memset(din, 0,
                 p.geom.in_c * p.geom.in_h * p.geom.in_w * sizeof(float));
     col2im(p.geom, dcol, din);
@@ -164,12 +174,8 @@ class Im2colBackend final : public ConvBackend {
     // dW += dout (m x n) * col^T (n x k); recompute col from the input
     // rather than caching it across the batch.
     im2col(p.geom, image, col);
-    if (parallel_ok) {
-      sgemm_parallel(false, true, m, k, n, 1.0f, dout, n, col, n, 1.0f,
-                     dweight, k);
-    } else {
-      sgemm(false, true, m, k, n, 1.0f, dout, n, col, n, 1.0f, dweight, k);
-    }
+    phase_sgemm(parallel_ok, false, true, m, k, n, dout, n, col, n, 1.0f,
+                dweight, k);
   }
 
   std::uint64_t flops(const ConvProblem& p, ConvPhase) const override {
@@ -534,12 +540,138 @@ class DirectBackend final : public ConvBackend {
   }
 };
 
+// ---- sub-pixel (stride s, k = 2p + s, s | p) -------------------------------
+
+// The s² stride-1 t x t convolutions of gemm/subpixel.hpp as one GEMM per
+// phase. Every phase lowers only the low-resolution tensor (OC·t² rows)
+// and moves the high-resolution one by a space-to-depth permutation, so
+// a stride-2 deconvolution never materialises im2col's C·k² x (H/s·W/s)
+// matrix nor scatters it back with col2im. The arithmetic equals
+// im2col's; only the order of the sums differs.
+class SubpixelBackend final : public ConvBackend {
+ public:
+  /// W2 ((s²·C) x (OC·t²)), built once per batch and shared read-only
+  /// by every image.
+  struct Prep final : ConvPrep {
+    std::vector<float> w2;
+  };
+
+  ConvBackendKind kind() const override {
+    return ConvBackendKind::kSubpixel;
+  }
+
+  bool applicable(const ConvProblem& p, ConvPhase) const override {
+    return subpixel_applicable(p.geom);
+  }
+
+  std::unique_ptr<ConvPrep> prepare_forward(
+      const ConvProblem& p, const float* weight) const override {
+    auto prep = std::make_unique<Prep>();
+    prep->w2.resize(p.out_c * p.geom.lowered_rows());
+    subpixel_filters(p.geom, p.out_c, weight, prep->w2.data());
+    return prep;
+  }
+
+  std::unique_ptr<ConvPrep> prepare_backward_data(
+      const ConvProblem& p, const float* weight) const override {
+    return prepare_forward(p, weight);
+  }
+
+  void forward(const ConvProblem& p, const float* image, const float* weight,
+               const float* bias, float* out,
+               bool parallel_ok) const override {
+    forward_prepared(p, nullptr, image, weight, bias, out, parallel_ok);
+  }
+
+  void forward_prepared(const ConvProblem& p, const ConvPrep* prep,
+                        const float* image, const float* weight,
+                        const float* bias, float* out,
+                        bool parallel_ok) const override {
+    // Y = col2im_t(W2^T · S2D(X)).
+    std::unique_ptr<ConvPrep> own;
+    const float* w2 = filters(p, prep, weight, own);
+    const ConvGeom low = subpixel_low_geom(p.geom, p.out_c);
+    const std::size_t m = low.lowered_rows();  // OC·t²
+    const std::size_t n = low.lowered_cols();  // (H/s)·(W/s)
+    const std::size_t k = p.geom.stride_h * p.geom.stride_h * p.geom.in_c;
+    ScratchLease s2d(k * n);
+    space_to_depth(p.geom, image, s2d.data());
+    ScratchLease col(m * n);
+    phase_sgemm(parallel_ok, true, false, m, n, k, w2, m, s2d.data(), n,
+                0.0f, col.data(), n);
+    std::memset(out, 0, p.out_c * n * sizeof(float));
+    col2im(low, col.data(), out);
+    add_bias(bias, p.out_c, n, out);
+  }
+
+  void backward_data(const ConvProblem& p, const float* dout,
+                     const float* weight, float* din,
+                     bool parallel_ok) const override {
+    backward_data_prepared(p, nullptr, dout, weight, din, parallel_ok);
+  }
+
+  void backward_data_prepared(const ConvProblem& p, const ConvPrep* prep,
+                              const float* dout, const float* weight,
+                              float* din, bool parallel_ok) const override {
+    // dX = D2S(W2 · im2col_t(dY)).
+    std::unique_ptr<ConvPrep> own;
+    const float* w2 = filters(p, prep, weight, own);
+    const ConvGeom low = subpixel_low_geom(p.geom, p.out_c);
+    const std::size_t m = p.geom.stride_h * p.geom.stride_h * p.geom.in_c;
+    const std::size_t n = low.lowered_cols();
+    const std::size_t k = low.lowered_rows();
+    ScratchLease col(k * n);
+    im2col(low, dout, col.data());
+    ScratchLease s2d(m * n);
+    phase_sgemm(parallel_ok, false, false, m, n, k, w2, k, col.data(), n,
+                0.0f, s2d.data(), n);
+    depth_to_space(p.geom, s2d.data(), din);
+  }
+
+  void backward_filter(const ConvProblem& p, const float* image,
+                       const float* dout, float* dweight,
+                       bool parallel_ok) const override {
+    // dW += scatter(S2D(X) · im2col_t(dY)^T).
+    const ConvGeom low = subpixel_low_geom(p.geom, p.out_c);
+    const std::size_t m = p.geom.stride_h * p.geom.stride_h * p.geom.in_c;
+    const std::size_t n = low.lowered_rows();
+    const std::size_t k = low.lowered_cols();
+    ScratchLease s2d(m * k);
+    space_to_depth(p.geom, image, s2d.data());
+    ScratchLease col(n * k);
+    im2col(low, dout, col.data());
+    ScratchLease dw2(m * n);
+    phase_sgemm(parallel_ok, false, true, m, n, k, s2d.data(), k,
+                col.data(), k, 0.0f, dw2.data(), n);
+    subpixel_filters_accumulate(p.geom, p.out_c, dw2.data(), dweight);
+  }
+
+  std::uint64_t flops(const ConvProblem& p, ConvPhase) const override {
+    // The same multiply-adds as im2col, rearranged.
+    return gemm::flops(p.out_c, p.geom.lowered_cols(),
+                       p.geom.lowered_rows());
+  }
+
+ private:
+  /// W2 from `prep`, or built into `own` when the caller has no prep.
+  const float* filters(const ConvProblem& p, const ConvPrep* prep,
+                       const float* weight,
+                       std::unique_ptr<ConvPrep>& own) const {
+    if (prep == nullptr) {
+      own = prepare_forward(p, weight);
+      prep = own.get();
+    }
+    return static_cast<const Prep&>(*prep).w2.data();
+  }
+};
+
 }  // namespace
 
 const ConvBackend& backend(ConvBackendKind kind) {
   static const Im2colBackend im2col_backend;
   static const WinogradBackend winograd_backend;
   static const DirectBackend direct_backend;
+  static const SubpixelBackend subpixel_backend;
   switch (kind) {
     case ConvBackendKind::kIm2col:
       return im2col_backend;
@@ -547,6 +679,8 @@ const ConvBackend& backend(ConvBackendKind kind) {
       return winograd_backend;
     case ConvBackendKind::kDirect:
       return direct_backend;
+    case ConvBackendKind::kSubpixel:
+      return subpixel_backend;
   }
   PF15_CHECK_MSG(false, "unknown ConvBackendKind "
                             << static_cast<int>(kind));
@@ -558,6 +692,7 @@ const std::vector<const ConvBackend*>& all_backends() {
       &backend(ConvBackendKind::kIm2col),
       &backend(ConvBackendKind::kWinograd),
       &backend(ConvBackendKind::kDirect),
+      &backend(ConvBackendKind::kSubpixel),
   };
   return table;
 }

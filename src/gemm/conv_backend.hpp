@@ -39,11 +39,15 @@ namespace pf15::gemm {
 /// Identity of a convolution algorithm in the dispatch table. Values are
 /// stable (they appear in perf records, plan-cache files and tune::Space
 /// encodings). Value 2 belonged to a removed FFT backend and stays unused,
-/// so 0, 1 and 3 keep their meaning.
+/// so 0, 1, 3 and 4 keep their meaning.
 enum class ConvBackendKind : int {
   kIm2col = 0,    // lowering + GEMM, the always-applicable reference
   kWinograd = 1,  // F(2x2,3x3)/F(4x4,3x3): 3x3 stride-1 only
   kDirect = 3,    // naive loops: wins when the lowered matrix is tiny
+  // s² stride-1 (k/s)x(k/s) convolutions on the low-resolution side
+  // (gemm/subpixel.hpp): stride s >= 2 with k = 2p + s, s | p and input
+  // sides divisible by s — the climate decoder's 6x6/2 pad-2 deconvs.
+  kSubpixel = 4,
 };
 
 /// The three convolution operations of a training step. Each phase tunes
@@ -55,7 +59,7 @@ enum class ConvPhase : int {
   kBackwardFilter = 2,  // dW from X and dY
 };
 
-/// Stable lower-case name ("im2col", "winograd", "direct").
+/// Stable lower-case name ("im2col", "winograd", "direct", "subpixel").
 const char* to_string(ConvBackendKind kind);
 /// Inverse of to_string; nullopt for unknown names.
 std::optional<ConvBackendKind> parse_backend(const std::string& name);
@@ -238,8 +242,9 @@ ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt = {},
 /// meaning of a field changes. Files with a different version are
 /// rejected (and re-tuned from scratch). v2 added the batch bucket;
 /// v3 added the SIMD tier ("isa") to the hardware signature; v4 dropped
-/// the "fft" backend.
-inline constexpr int kConvPlanCacheVersion = 4;
+/// the "fft" backend; v5 added the "subpixel" candidate, so plans raced
+/// without it re-tune instead of pinning im2col on stride-2 deconvs.
+inline constexpr int kConvPlanCacheVersion = 5;
 
 /// The power-of-two batch bucket a convolution executes under: 1 for
 /// single-image calls (n <= 1), otherwise the next power of two >= n.

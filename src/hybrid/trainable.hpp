@@ -49,7 +49,7 @@ class HepTrainable final : public TrainableModel {
     const Tensor& logits = net_.forward(batch.images, profile_);
     const double batch_loss =
         loss_.forward_backward(logits, batch.labels, probs_, dlogits_);
-    net_.backward(batch.images, dlogits_, profile_);
+    net_.backward_params(batch.images, dlogits_, profile_);
     return batch_loss;
   }
 

@@ -116,7 +116,7 @@ void ClimateNet::backward(const Tensor& input, const OutputGrads& grads,
   dfeatures_.axpy(1.0f, wh_head_.backward(features_, grads.wh, profile));
   dfeatures_.axpy(1.0f,
                   decoder_.backward(features_, grads.recon, profile));
-  encoder_.backward(input, dfeatures_, profile);
+  encoder_.backward_params(input, dfeatures_, profile);
 }
 
 std::vector<Param> ClimateNet::params() {

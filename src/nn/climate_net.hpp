@@ -83,7 +83,8 @@ class ClimateNet {
 
   const Outputs& forward(const Tensor& input, bool profile = false);
   /// Backprop through heads + decoder into the shared encoder. Parameter
-  /// gradients accumulate; input gradient is discarded (inputs are data).
+  /// gradients accumulate; the input gradient is never computed (inputs
+  /// are data).
   void backward(const Tensor& input, const OutputGrads& grads,
                 bool profile = false);
 

@@ -5,6 +5,7 @@
 #include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/scratch.hpp"
+#include "gemm/subpixel.hpp"
 #include "gemm/winograd.hpp"
 #include "nn/elementwise.hpp"
 
@@ -27,6 +28,9 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
     case ConvAlgo::kDirect:
       forced = gemm::ConvBackendKind::kDirect;
       break;
+    case ConvAlgo::kSubpixel:
+      forced = gemm::ConvBackendKind::kSubpixel;
+      break;
     case ConvAlgo::kAuto:
       // kAuto: every applicable backend races once per (problem, phase,
       // execution mode, batch bucket) and the measured winner is
@@ -36,7 +40,8 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
           .kind;
   }
   // A forced backend that declines this phase (Winograd backward-data at
-  // pad > 2) falls back to the always-applicable im2col adjoint; the
+  // pad > 2, sub-pixel on an input side the stride does not divide)
+  // falls back to the always-applicable im2col adjoint; the
   // layers' backend query methods report the fallback, so it is
   // explicit, never silent.
   if (!gemm::backend(forced).applicable(p, phase)) {
@@ -56,6 +61,20 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
   const auto cached =
       gemm::ConvPlanCache::global().lookup(p, phase, parallel_ok, batch);
   return cached.has_value() ? cached->kind : gemm::ConvBackendKind::kIm2col;
+}
+
+void check_forced_algo(const std::string& layer, ConvAlgo algo,
+                       std::size_t kernel, std::size_t stride,
+                       std::size_t pad) {
+  if (algo == ConvAlgo::kWinograd) {
+    PF15_CHECK_MSG(gemm::winograd_applicable(kernel, stride),
+                   layer << ": Winograd requires 3x3 stride-1");
+  }
+  if (algo == ConvAlgo::kSubpixel) {
+    PF15_CHECK_MSG(gemm::subpixel_applicable(kernel, stride, pad),
+                   layer << ": sub-pixel requires stride >= 2, kernel = "
+                            "2 * pad + stride and stride | pad");
+  }
 }
 
 void conv_backward_images(
@@ -82,10 +101,7 @@ Conv2d::Conv2d(std::string name, const Conv2dConfig& cfg, Rng& rng)
       bias_grad_(bias_.shape()) {
   PF15_CHECK(cfg.in_channels > 0 && cfg.out_channels > 0 && cfg.kernel > 0 &&
              cfg.stride > 0);
-  if (cfg.algo == ConvAlgo::kWinograd) {
-    PF15_CHECK_MSG(gemm::winograd_applicable(cfg.kernel, cfg.stride),
-                   name_ << ": Winograd requires 3x3 stride-1");
-  }
+  check_forced_algo(name_, cfg.algo, cfg.kernel, cfg.stride, cfg.pad);
   weight_.fill_he(rng, cfg.in_channels * cfg.kernel * cfg.kernel);
   bias_.zero();
 }
@@ -168,36 +184,52 @@ void Conv2d::forward(const Tensor& in, Tensor& out) {
 }
 
 void Conv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
+  ensure_shape(din, in.shape());
+  run_backward(in, dout, &din);
+}
+
+void Conv2d::backward_params(const Tensor& in, const Tensor& dout,
+                             Tensor& /*unused_din*/) {
+  run_backward(in, dout, nullptr);
+}
+
+void Conv2d::run_backward(const Tensor& in, const Tensor& dout,
+                          Tensor* din) {
   const gemm::ConvProblem p = problem(in.shape());
   PF15_CHECK(dout.shape() == output_shape(in.shape()));
-  ensure_shape(din, in.shape());
 
   const std::size_t n_img = in.shape().n();
   const std::size_t in_img = p.geom.in_c * p.geom.in_h * p.geom.in_w;
   const std::size_t out_img = p.out_c * p.geom.lowered_cols();
 
-  const gemm::ConvBackendKind dkind =
-      backward_backend(in.shape(), ConvPhase::kBackwardData);
-  const gemm::ConvBackend& dbe = gemm::backend(dkind);
-  last_backward_data_backend_ = dkind;
+  const gemm::ConvBackend* dbe = nullptr;
+  std::unique_ptr<gemm::ConvPrep> dprep;
+  if (din != nullptr) {
+    const gemm::ConvBackendKind dkind =
+        backward_backend(in.shape(), ConvPhase::kBackwardData);
+    dbe = &gemm::backend(dkind);
+    last_backward_data_backend_ = dkind;
+    // Weight-only work (Winograd's rotated/transformed filter bank)
+    // hoists out of the batch loop, mirroring the prepare_forward hoist.
+    dprep = dbe->prepare_backward_data(p, weight_.data());
+  }
   const gemm::ConvBackendKind fkind =
       backward_backend(in.shape(), ConvPhase::kBackwardFilter);
   const gemm::ConvBackend& fbe = gemm::backend(fkind);
   last_backward_filter_backend_ = fkind;
-  // Weight-only work (Winograd's rotated/transformed filter bank) hoists
-  // out of the batch loop, mirroring the prepare_forward hoist.
-  const std::unique_ptr<gemm::ConvPrep> dprep =
-      dbe.prepare_backward_data(p, weight_.data());
 
   // Per image: the data gradient (the backend overwrites the din image),
   // then the filter gradient into the image's partial.
   conv_backward_images(
       n_img, weight_grad_.numel(), weight_grad_.data(),
       [&](std::size_t img, float* partial) {
-        dbe.backward_data_prepared(p, dprep.get(),
-                                   dout.data() + img * out_img,
-                                   weight_.data(), din.data() + img * in_img,
-                                   /*parallel_ok=*/false);
+        if (dbe != nullptr) {
+          dbe->backward_data_prepared(p, dprep.get(),
+                                      dout.data() + img * out_img,
+                                      weight_.data(),
+                                      din->data() + img * in_img,
+                                      /*parallel_ok=*/false);
+        }
         fbe.backward_filter(p, in.data() + img * in_img,
                             dout.data() + img * out_img, partial,
                             /*parallel_ok=*/false);
@@ -232,11 +264,20 @@ std::uint64_t Conv2d::backward_flops(const Shape& in) const {
   const gemm::ConvBackendKind dkind = planned_conv_backend(
       cfg_.algo, p, ConvPhase::kBackwardData, /*parallel_ok=*/true,
       in.n());
+  return gemm::backend(dkind).flops(p, ConvPhase::kBackwardData) * in.n() +
+         filter_flops(in);
+}
+
+std::uint64_t Conv2d::backward_params_flops(const Shape& in) const {
+  return filter_flops(in);
+}
+
+std::uint64_t Conv2d::filter_flops(const Shape& in) const {
+  const gemm::ConvProblem p = problem(in);
   const gemm::ConvBackendKind fkind = planned_conv_backend(
       cfg_.algo, p, ConvPhase::kBackwardFilter, /*parallel_ok=*/true,
       in.n());
   const std::uint64_t per_img =
-      gemm::backend(dkind).flops(p, ConvPhase::kBackwardData) +
       gemm::backend(fkind).flops(p, ConvPhase::kBackwardFilter) +
       (cfg_.bias ? p.geom.lowered_cols() * cfg_.out_channels : 0);
   return per_img * in.n();

@@ -2,7 +2,8 @@
 // Weight layout is OIHW; bias is per output channel.
 //
 // Forward *and* backward dispatch through the gemm::ConvBackend registry:
-// im2col+GEMM, Winograd F(2x2/4x4,3x3), or direct loops. kAuto
+// im2col+GEMM, Winograd F(2x2/4x4,3x3), direct loops, or the sub-pixel
+// form of stride-s kernels (k = 2p + s, s | p). kAuto
 // consults the process-wide gemm::ConvPlanCache, which micro-benchmarks
 // applicable backends the first time a (problem, phase) is seen and
 // remembers the winner — forward, backward-data and backward-filter tune
@@ -24,14 +25,15 @@
 
 namespace pf15::nn {
 
-/// Algorithm selection. kIm2col/kWinograd/kDirect force one
-/// gemm::ConvBackend (construction PF15_CHECKs applicability for
-/// Winograd; direct applies everywhere); kAuto lets the autotune plan
-/// cache pick per (geometry, phase). A forced backend that declines a
-/// backward phase (Winograd backward-data at pad > 2) falls back to the
-/// im2col adjoint there — the fallback is explicit via
+/// Algorithm selection. kIm2col/kWinograd/kDirect/kSubpixel force one
+/// gemm::ConvBackend (construction PF15_CHECKs the kernel/stride/pad
+/// rule of Winograd and sub-pixel; direct applies everywhere); kAuto
+/// lets the autotune plan cache pick per (geometry, phase). A forced
+/// backend that declines a phase (Winograd backward-data at pad > 2,
+/// sub-pixel on an input side the stride does not divide) falls back to
+/// the im2col adjoint there — the fallback is explicit via
 /// backward_backend(), never silent.
-enum class ConvAlgo { kIm2col, kWinograd, kAuto, kDirect };
+enum class ConvAlgo { kIm2col, kWinograd, kAuto, kDirect, kSubpixel };
 
 struct Conv2dConfig {
   std::size_t in_channels = 0;
@@ -46,7 +48,8 @@ struct Conv2dConfig {
 /// The one algo-to-backend resolution policy, shared by every layer that
 /// dispatches convolution phases (Conv2d, Deconv2d): a forced algo wins
 /// when it supports the phase, falls back to the im2col adjoint when it
-/// declines it (Winograd backward-data at pad > 2), and kAuto asks the
+/// declines it (Winograd backward-data at pad > 2, sub-pixel on an odd
+/// input side), and kAuto asks the
 /// global plan cache — tuning on first sight in the given execution mode
 /// and batch bucket (gemm::conv_batch_bucket of the layer's batch
 /// dimension).
@@ -65,6 +68,14 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
                                            gemm::ConvPhase phase,
                                            bool parallel_ok,
                                            std::size_t batch = 1);
+
+/// Refuses, at layer construction, a forced algo whose kernel, stride and
+/// pad can never qualify (Winograd off 3x3 stride 1, sub-pixel off
+/// k = 2p + s with s >= 2 and s | p): an impossible forced backend is an
+/// error, not a silent downgrade to im2col. `layer` names the layer.
+void check_forced_algo(const std::string& layer, ConvAlgo algo,
+                       std::size_t kernel, std::size_t stride,
+                       std::size_t pad);
 
 /// The image loop of Conv2d and Deconv2d backward. Runs image(img,
 /// partial) for every img in [0, n_img) as tasks on the global scheduler;
@@ -88,9 +99,14 @@ class Conv2d final : public Layer {
   Shape output_shape(const Shape& in) const override;
   void forward(const Tensor& in, Tensor& out) override;
   void backward(const Tensor& in, const Tensor& dout, Tensor& din) override;
+  /// The filter pass alone: the data-gradient phase is never resolved,
+  /// tuned or run.
+  void backward_params(const Tensor& in, const Tensor& dout,
+                       Tensor& unused_din) override;
   std::vector<Param> params() override;
   std::uint64_t forward_flops(const Shape& in) const override;
   std::uint64_t backward_flops(const Shape& in) const override;
+  std::uint64_t backward_params_flops(const Shape& in) const override;
 
   const Conv2dConfig& config() const { return cfg_; }
   Tensor& weight() { return weight_; }
@@ -125,6 +141,10 @@ class Conv2d final : public Layer {
   gemm::ConvBackendKind resolve_backend(const Shape& in,
                                         gemm::ConvPhase phase,
                                         bool parallel_ok) const;
+  /// backward() with the data pass, or — when `din` is null — without.
+  void run_backward(const Tensor& in, const Tensor& dout, Tensor* din);
+  /// Filter-gradient FLOPs of one batch (+ bias), without the data pass.
+  std::uint64_t filter_flops(const Shape& in) const;
 
   std::string name_;
   Conv2dConfig cfg_;

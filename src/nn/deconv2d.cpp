@@ -2,7 +2,6 @@
 
 #include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
-#include "gemm/winograd.hpp"
 #include "nn/elementwise.hpp"
 
 namespace pf15::nn {
@@ -19,14 +18,11 @@ Deconv2d::Deconv2d(std::string name, const Deconv2dConfig& cfg, Rng& rng)
       bias_grad_(bias_.shape()) {
   PF15_CHECK(cfg.in_channels > 0 && cfg.out_channels > 0 && cfg.kernel > 0 &&
              cfg.stride > 0);
-  if (cfg.algo == ConvAlgo::kWinograd) {
-    // Same construction-time semantics as Conv2d: a forced backend that
-    // can never run this geometry is refused loudly, not silently
-    // downgraded (the per-phase im2col fallback covers declined phases,
-    // not wholly inapplicable configurations).
-    PF15_CHECK_MSG(gemm::winograd_applicable(cfg.kernel, cfg.stride),
-                   name_ << ": Winograd requires 3x3 stride-1");
-  }
+  // Same construction-time semantics as Conv2d: a forced backend that
+  // can never run this geometry is refused loudly, not silently
+  // downgraded (the per-phase im2col fallback covers declined phases,
+  // not wholly inapplicable configurations).
+  check_forced_algo(name_, cfg.algo, cfg.kernel, cfg.stride, cfg.pad);
   // Fan-in of the adjoint convolution: each output pixel receives
   // contributions from ~OC * (K/stride)^2 taps; use the conv-style fan-in
   // of the transposed kernel for a comparable scale.
@@ -91,9 +87,8 @@ void Deconv2d::forward(const Tensor& in, Tensor& out) {
       cfg_.in_channels * in.shape().h() * in.shape().w();
   const std::size_t out_img =
       cfg_.out_channels * p.geom.in_h * p.geom.in_w;
-  // Weight-only work (Winograd's rotated/transformed filter bank) hoists
-  // out of the batch loop — the decoder's stride-2 deconvs never hit it,
-  // but 3x3 stride-1 upsampling heads do.
+  // Weight-only work (Winograd's rotated/transformed filter bank, the
+  // sub-pixel filter matrix W2) hoists out of the batch loop.
   const std::unique_ptr<gemm::ConvPrep> prep =
       be.prepare_backward_data(p, weight_.data());
   const auto one_image = [&](std::size_t img) {
@@ -134,12 +129,17 @@ void Deconv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
   const gemm::ConvBackendKind fkind =
       phase_backend(in.shape(), ConvPhase::kBackwardFilter);
   const gemm::ConvBackend& fbe = gemm::backend(fkind);
+  // Weight-only work hoists out of the image loop, as in Conv2d::forward.
+  const std::unique_ptr<gemm::ConvPrep> dprep =
+      dbe.prepare_forward(p, weight_.data());
 
   conv_backward_images(
       n_img, weight_grad_.numel(), weight_grad_.data(),
       [&](std::size_t img, float* partial) {
-        dbe.forward(p, dout.data() + img * out_img, weight_.data(), nullptr,
-                    din.data() + img * in_img, /*parallel_ok=*/false);
+        dbe.forward_prepared(p, dprep.get(), dout.data() + img * out_img,
+                             weight_.data(), nullptr,
+                             din.data() + img * in_img,
+                             /*parallel_ok=*/false);
         fbe.backward_filter(p, dout.data() + img * out_img,
                             in.data() + img * in_img, partial,
                             /*parallel_ok=*/false);

@@ -10,7 +10,9 @@
 // convolution's backward-filter phase — each resolved per (problem,
 // phase) by the same gemm::ConvPlanCache the Conv2d layer uses, so the
 // decoder inherits every tuned backend win instead of carrying a private
-// im2col lowering.
+// im2col lowering. The decoder's 6x6/2 pad-2 deconvolutions also race
+// the sub-pixel backend (gemm/subpixel.hpp), which lowers only the
+// low-resolution side of each phase.
 #pragma once
 
 #include <string>

@@ -50,6 +50,15 @@ class Layer {
   virtual void backward(const Tensor& in, const Tensor& dout,
                         Tensor& din) = 0;
 
+  /// backward() for a caller that discards din — the first layer of a
+  /// trainer, whose input is data. Parameter gradients accumulate
+  /// bit-identically to backward(). The default runs backward() into
+  /// `unused_din`; a layer whose data pass is separable skips it.
+  virtual void backward_params(const Tensor& in, const Tensor& dout,
+                               Tensor& unused_din) {
+    backward(in, dout, unused_din);
+  }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param> params() { return {}; }
 
@@ -85,6 +94,10 @@ class Layer {
   /// FLOPs; elementwise ops as one per element.
   virtual std::uint64_t forward_flops(const Shape& in) const = 0;
   virtual std::uint64_t backward_flops(const Shape& in) const = 0;
+  /// FLOPs of backward_params(): backward_flops() unless it skips work.
+  virtual std::uint64_t backward_params_flops(const Shape& in) const {
+    return backward_flops(in);
+  }
 
   /// Total number of trainable scalars.
   std::size_t param_count() {

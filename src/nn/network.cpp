@@ -42,16 +42,33 @@ const Tensor& Sequential::forward(const Tensor& input, bool profile) {
 
 const Tensor& Sequential::backward(const Tensor& input, const Tensor& dout,
                                    bool profile) {
+  return run_backward(input, dout, profile, /*input_grad=*/true);
+}
+
+void Sequential::backward_params(const Tensor& input, const Tensor& dout,
+                                 bool profile) {
+  run_backward(input, dout, profile, /*input_grad=*/false);
+}
+
+const Tensor& Sequential::run_backward(const Tensor& input,
+                                       const Tensor& dout, bool profile,
+                                       bool input_grad) {
   PF15_CHECK(!layers_.empty());
   const Tensor* cur_grad = &dout;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     const Tensor& layer_in = (i == 0) ? input : activations_[i - 1];
+    const bool params_only = i == 0 && !input_grad;
     WallTimer timer;
-    layers_[i]->backward(layer_in, *cur_grad, grads_[i]);
+    if (params_only) {
+      layers_[i]->backward_params(layer_in, *cur_grad, grads_[i]);
+    } else {
+      layers_[i]->backward(layer_in, *cur_grad, grads_[i]);
+    }
     if (profile) {
       profiles_[i].backward_seconds += timer.seconds();
       profiles_[i].backward_flops +=
-          layers_[i]->backward_flops(layer_in.shape());
+          params_only ? layers_[i]->backward_params_flops(layer_in.shape())
+                      : layers_[i]->backward_flops(layer_in.shape());
     }
     cur_grad = &grads_[i];
   }

@@ -52,6 +52,12 @@ class Sequential {
   const Tensor& backward(const Tensor& input, const Tensor& dout,
                          bool profile = false);
 
+  /// backward() for a trainer, whose input is data: the first layer
+  /// skips its input gradient (Layer::backward_params). Parameter
+  /// gradients are bit-identical to backward()'s.
+  void backward_params(const Tensor& input, const Tensor& dout,
+                       bool profile = false);
+
   /// All trainable parameters in deterministic (layer, param) order.
   std::vector<Param> params();
   /// Non-trainable state (BatchNorm running statistics, ...) in the same
@@ -85,6 +91,11 @@ class Sequential {
   void load_params(std::istream& is);
 
  private:
+  /// Layers last to first; layer 0 runs backward_params() unless
+  /// `input_grad`.
+  const Tensor& run_backward(const Tensor& input, const Tensor& dout,
+                             bool profile, bool input_grad);
+
   std::vector<LayerPtr> layers_;
   std::vector<Tensor> activations_;  // activations_[i] = output of layer i
   std::vector<Tensor> grads_;        // grads_[i] = dL/d activations_[i-1]

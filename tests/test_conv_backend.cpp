@@ -4,14 +4,19 @@
 // backward-filter), the autotune plan cache (per-phase memoing, overrides,
 // on-disk persistence round-trip and header rejection), Conv2d and
 // Deconv2d dispatch through the shared table, the batch-parallel paths,
-// Winograd tile selection, and the tune::Space adapter.
+// Winograd tile selection, the sub-pixel backend on the climate decoder's
+// geometries, and the tune::Space adapter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -21,6 +26,8 @@
 #include "common/rng.hpp"
 #include "gemm/conv_backend.hpp"
 #include "gemm/gemm.hpp"
+#include "gemm/simd.hpp"
+#include "gemm/subpixel.hpp"
 #include "gemm/winograd.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -121,23 +128,25 @@ std::vector<float> reference_backward_filter(
 
 // ---- registry --------------------------------------------------------------
 
-TEST(ConvBackendRegistry, AllThreeKindsRegistered) {
+TEST(ConvBackendRegistry, AllFourKindsRegistered) {
   const auto& table = gemm::all_backends();
-  ASSERT_EQ(table.size(), 3u);
+  ASSERT_EQ(table.size(), 4u);
   EXPECT_EQ(table[0]->kind(), ConvBackendKind::kIm2col);
   EXPECT_EQ(table[1]->kind(), ConvBackendKind::kWinograd);
   EXPECT_EQ(table[2]->kind(), ConvBackendKind::kDirect);
+  EXPECT_EQ(table[3]->kind(), ConvBackendKind::kSubpixel);
   for (const auto* b : table) {
     EXPECT_EQ(&gemm::backend(b->kind()), b);
   }
 }
 
 TEST(ConvBackendRegistry, RetiredCodeTwoNamesNoBackend) {
-  // Value 2 stays unused so that 0, 1 and 3 keep their meaning in perf
-  // records and tune::Space codes; it must not resolve to a backend.
+  // Value 2 stays unused so that 0, 1, 3 and 4 keep their meaning in
+  // perf records and tune::Space codes; it must not resolve to a backend.
   EXPECT_EQ(static_cast<int>(ConvBackendKind::kIm2col), 0);
   EXPECT_EQ(static_cast<int>(ConvBackendKind::kWinograd), 1);
   EXPECT_EQ(static_cast<int>(ConvBackendKind::kDirect), 3);
+  EXPECT_EQ(static_cast<int>(ConvBackendKind::kSubpixel), 4);
   const auto retired = static_cast<ConvBackendKind>(2);
   EXPECT_STREQ(gemm::to_string(retired), "unknown");
   PF15_EXPECT_CHECK_FAIL(gemm::backend(retired), "unknown ConvBackendKind 2");
@@ -194,7 +203,7 @@ TEST(ConvBackendRegistry, WinogradBackwardDataNeedsPadAtMost2) {
 TEST(ConvBackendRegistry, ApplicableBackendsFilters) {
   const auto for_5x5 =
       gemm::applicable_backends(make_problem(2, 3, 9, 5, 2, 2));
-  ASSERT_EQ(for_5x5.size(), 2u);  // everyone but Winograd
+  ASSERT_EQ(for_5x5.size(), 2u);  // im2col and direct
   const auto for_3x3 =
       gemm::applicable_backends(make_problem(2, 3, 9, 3, 1, 1));
   EXPECT_EQ(for_3x3.size(), 3u);
@@ -206,6 +215,51 @@ TEST(ConvBackendRegistry, ApplicableBackendsFilters) {
   const auto bwd_pad3 = gemm::applicable_backends(
       make_problem(2, 3, 9, 3, 1, 3), ConvPhase::kBackwardData);
   EXPECT_EQ(bwd_pad3.size(), 2u);
+}
+
+TEST(ConvBackendRegistry, SubpixelNeedsKernel2PadPlusStrideAndStrideDivPad) {
+  const auto& subpixel = gemm::backend(ConvBackendKind::kSubpixel);
+  const auto runs_every_phase = [&](const gemm::ConvProblem& p) {
+    bool all = true;
+    for (const ConvPhase phase : gemm::kAllConvPhases) {
+      all = all && subpixel.applicable(p, phase);
+    }
+    return all;
+  };
+  const auto declines_every_phase = [&](const gemm::ConvProblem& p) {
+    bool none = true;
+    for (const ConvPhase phase : gemm::kAllConvPhases) {
+      none = none && !subpixel.applicable(p, phase);
+    }
+    return none;
+  };
+  // The climate decoder's 6x6/2 pad 2, and the same rule at s = 3 and at
+  // pad 2s.
+  EXPECT_TRUE(runs_every_phase(make_problem(2, 3, 8, 6, 2, 2)));
+  EXPECT_TRUE(runs_every_phase(make_problem(2, 3, 9, 9, 3, 3)));
+  EXPECT_TRUE(runs_every_phase(make_problem(2, 3, 8, 10, 2, 4)));
+  // 4x4/2 pad 1 (Deconv2d.GradientCheck): k = 2p + s, but s does not
+  // divide p.
+  EXPECT_TRUE(declines_every_phase(make_problem(2, 3, 8, 4, 2, 1)));
+  // An odd input side at the decoder's kernel, stride and pad.
+  EXPECT_TRUE(declines_every_phase(make_problem(2, 3, 7, 6, 2, 2)));
+  gemm::ConvProblem odd_w = make_problem(2, 3, 8, 6, 2, 2);
+  odd_w.geom.in_w = 9;
+  EXPECT_TRUE(declines_every_phase(odd_w));
+  // Stride 1 (3x3 pad 1 meets k = 2p + s and s | p).
+  EXPECT_TRUE(declines_every_phase(make_problem(2, 3, 8, 3, 1, 1)));
+  // The encoder's 5x5/2 pad 2: k != 2p + s.
+  EXPECT_TRUE(declines_every_phase(make_problem(2, 3, 8, 5, 2, 2)));
+  // Unequal axes.
+  gemm::ConvProblem aniso = make_problem(2, 3, 8, 6, 2, 2);
+  aniso.geom.pad_w = 4;
+  aniso.geom.kernel_w = 10;
+  EXPECT_TRUE(declines_every_phase(aniso));
+  // The construction-time rule on (kernel, stride, pad) alone.
+  EXPECT_TRUE(gemm::subpixel_applicable(6, 2, 2));
+  EXPECT_FALSE(gemm::subpixel_applicable(4, 2, 1));
+  EXPECT_FALSE(gemm::subpixel_applicable(3, 1, 1));
+  EXPECT_TRUE(gemm::subpixel_applicable(2, 2, 0));  // t = 1: pixel shuffle
 }
 
 // ---- numerical agreement ---------------------------------------------------
@@ -395,6 +449,165 @@ TEST(WinogradTiles, BothTilesComputeTheFilterGradient) {
         }
       }
     }
+  }
+}
+
+// ---- sub-pixel -------------------------------------------------------------
+
+/// The five 6x6/2 pad-2 deconvolutions of the benchmarked climate decoder
+/// (64 px, 16 channels, widths {16, 32, 48, 64, 80}) as the convolutions
+/// they run: in_c and hw are a deconv's output channels and side, out_c
+/// its input channels.
+std::vector<gemm::ConvProblem> decoder_problems() {
+  return {make_problem(64, 80, 4, 6, 2, 2), make_problem(48, 64, 8, 6, 2, 2),
+          make_problem(32, 48, 16, 6, 2, 2),
+          make_problem(16, 32, 32, 6, 2, 2),
+          make_problem(16, 16, 64, 6, 2, 2)};
+}
+
+/// The decoder problems plus a sweep over strides s in {2, 3}, pads
+/// p in {0, s, 2s} (k = 2p + s), channel counts and sides, and one
+/// input with in_h != in_w.
+std::vector<gemm::ConvProblem> subpixel_sweep() {
+  std::vector<gemm::ConvProblem> out = decoder_problems();
+  const std::pair<std::size_t, std::size_t> channels[] = {
+      {1, 1}, {3, 5}, {8, 4}};
+  for (const std::size_t s : {2u, 3u}) {
+    for (const std::size_t pad : {std::size_t{0}, s, 2 * s}) {
+      for (const auto& [in_c, out_c] : channels) {
+        for (const std::size_t side : {s, 3 * s, 5 * s}) {
+          out.push_back(make_problem(in_c, out_c, side, 2 * pad + s, s, pad));
+        }
+      }
+    }
+  }
+  gemm::ConvProblem wide = make_problem(3, 4, 6, 6, 2, 2);
+  wide.geom.in_w = 10;
+  out.push_back(wide);
+  return out;
+}
+
+/// max |got - want| over max |want|.
+double rel_max_error(const std::vector<float>& got,
+                     const std::vector<float>& want) {
+  double err = 0.0;
+  double scale = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    err = std::max(err, std::abs(static_cast<double>(got[i]) - want[i]));
+    scale = std::max(scale, std::abs(static_cast<double>(want[i])));
+  }
+  return err / scale;
+}
+
+/// One serial call of `b` in `phase`: the forward output (with bias), the
+/// data gradient, or the filter gradient accumulated onto zeros.
+std::vector<float> run_phase(const gemm::ConvBackend& b,
+                             const gemm::ConvProblem& p, ConvPhase phase,
+                             const ConvOperands& ops) {
+  const auto& g = p.geom;
+  switch (phase) {
+    case ConvPhase::kForward: {
+      std::vector<float> out(p.out_c * g.lowered_cols(), -7.0f);
+      b.forward(p, ops.image.data(), ops.weight.data(), ops.bias.data(),
+                out.data(), /*parallel_ok=*/false);
+      return out;
+    }
+    case ConvPhase::kBackwardData: {
+      std::vector<float> din(g.in_c * g.in_h * g.in_w, -7.0f);
+      b.backward_data(p, ops.dout.data(), ops.weight.data(), din.data(),
+                      /*parallel_ok=*/false);
+      return din;
+    }
+    case ConvPhase::kBackwardFilter:
+      break;
+  }
+  std::vector<float> dw(ops.weight.size(), 0.0f);
+  b.backward_filter(p, ops.image.data(), ops.dout.data(), dw.data(),
+                    /*parallel_ok=*/false);
+  return dw;
+}
+
+TEST(SubpixelBackend, MatchesIm2colEveryPhaseWithin1e5) {
+  const auto& im2col = gemm::backend(ConvBackendKind::kIm2col);
+  const auto& subpixel = gemm::backend(ConvBackendKind::kSubpixel);
+  std::uint64_t seed = 0x5b9;
+  for (const gemm::ConvProblem& p : subpixel_sweep()) {
+    const auto& g = p.geom;
+    std::ostringstream what;
+    what << g.in_c << "->" << p.out_c << " " << g.in_h << "x" << g.in_w
+         << " k" << g.kernel_h << "/" << g.stride_h << " pad " << g.pad_h;
+    SCOPED_TRACE(what.str());
+    const ConvOperands ops = random_operands(p, ++seed);
+    for (const ConvPhase phase : gemm::kAllConvPhases) {
+      ASSERT_TRUE(subpixel.applicable(p, phase)) << gemm::to_string(phase);
+      EXPECT_LE(rel_max_error(run_phase(subpixel, p, phase, ops),
+                              run_phase(im2col, p, phase, ops)),
+                1e-5)
+          << gemm::to_string(phase);
+    }
+  }
+}
+
+TEST(SubpixelBackend, FilterGradientAccumulatesAndPrepMatchesBitwise) {
+  const auto& subpixel = gemm::backend(ConvBackendKind::kSubpixel);
+  const gemm::ConvProblem p = make_problem(6, 5, 12, 6, 2, 2);
+  const ConvOperands ops = random_operands(p, 0x5e1f);
+  // += contract: a second call onto the first call's sum doubles it.
+  std::vector<float> once(ops.weight.size(), 0.0f);
+  subpixel.backward_filter(p, ops.image.data(), ops.dout.data(),
+                           once.data(), /*parallel_ok=*/false);
+  std::vector<float> twice = once;
+  subpixel.backward_filter(p, ops.image.data(), ops.dout.data(),
+                           twice.data(), /*parallel_ok=*/false);
+  for (std::size_t i = 0; i < once.size(); ++i) {
+    ASSERT_EQ(twice[i], 2.0f * once[i]) << "element " << i;
+  }
+  // The prepared entry points reuse the W2 the plain ones build per call.
+  const std::size_t out_n = p.out_c * p.geom.lowered_cols();
+  std::vector<float> plain(out_n), prepared(out_n, 5.0f);
+  subpixel.forward(p, ops.image.data(), ops.weight.data(), ops.bias.data(),
+                   plain.data(), /*parallel_ok=*/false);
+  const auto fprep = subpixel.prepare_forward(p, ops.weight.data());
+  ASSERT_NE(fprep, nullptr);
+  subpixel.forward_prepared(p, fprep.get(), ops.image.data(),
+                            ops.weight.data(), ops.bias.data(),
+                            prepared.data(), /*parallel_ok=*/false);
+  EXPECT_EQ(prepared, plain);
+  const std::size_t in_n = p.geom.in_c * p.geom.in_h * p.geom.in_w;
+  std::vector<float> dplain(in_n), dprepared(in_n, 5.0f);
+  subpixel.backward_data(p, ops.dout.data(), ops.weight.data(),
+                         dplain.data(), /*parallel_ok=*/false);
+  const auto dprep = subpixel.prepare_backward_data(p, ops.weight.data());
+  ASSERT_NE(dprep, nullptr);
+  subpixel.backward_data_prepared(p, dprep.get(), ops.dout.data(),
+                                  ops.weight.data(), dprepared.data(),
+                                  /*parallel_ok=*/false);
+  EXPECT_EQ(dprepared, dplain);
+}
+
+TEST(SubpixelBackend, DepthToSpaceInvertsSpaceToDepth) {
+  for (const std::size_t s : {2u, 3u}) {
+    gemm::ConvGeom g;
+    g.in_c = 3;
+    g.in_h = 4 * s;
+    g.in_w = 2 * s;
+    g.kernel_h = g.kernel_w = 3 * s;
+    g.stride_h = g.stride_w = s;
+    g.pad_h = g.pad_w = s;
+    std::vector<float> image(g.in_c * g.in_h * g.in_w);
+    for (std::size_t i = 0; i < image.size(); ++i) {
+      image[i] = static_cast<float>(i);
+    }
+    std::vector<float> s2d(image.size(), -1.0f);
+    gemm::space_to_depth(g, image.data(), s2d.data());
+    // Plane (a·s + b)·C + c holds X[c][s·y + a][s·x + b].
+    const std::size_t h = g.in_h / s, w = g.in_w / s;
+    const std::size_t a = s - 1, b = 1, c = 2, y = 3, x = 1;
+    EXPECT_EQ(s2d[(((a * s + b) * g.in_c + c) * h + y) * w + x],
+              image[(c * g.in_h + s * y + a) * g.in_w + s * x + b]);
+    std::vector<float> back(image.size(), -1.0f);
+    gemm::depth_to_space(g, s2d.data(), back.data());
+    EXPECT_EQ(back, image) << "s = " << s;
   }
 }
 
@@ -850,7 +1063,7 @@ TEST(PlanCachePersistence, VersionThreeFileIsRejectedThenRetuned) {
     cache.load(path);
     ADD_FAILURE() << "version-3 file was accepted";
   } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("format version 3 != expected 4"),
+    EXPECT_NE(std::string(e.what()).find("format version 3 != expected 5"),
               std::string::npos)
         << e.what();
   }
@@ -858,6 +1071,80 @@ TEST(PlanCachePersistence, VersionThreeFileIsRejectedThenRetuned) {
   cache.plan(make_problem(2, 3, 10, 3, 1, 1));
   EXPECT_EQ(cache.misses(), 1u);
   std::remove(path.c_str());
+}
+
+/// A plan document written by hand the way a process at format `version`
+/// wrote it: this host's hardware signature and one backward-data entry
+/// for the decoder's dec_deconv4 problem naming `backend`.
+std::string handwritten_decoder_plan(int version, const char* backend) {
+  std::ostringstream doc;
+  doc << "{\"format\": \"pf15.conv_plan_cache\", \"version\": " << version
+      << ", \"hardware\": {\"threads\": "
+      << std::thread::hardware_concurrency()
+      << ", \"pointer_bits\": " << 8 * sizeof(void*) << ", \"isa\": \""
+      << gemm::simd_isa_string() << "\"}, \"plans\": [{\"in_c\": 16, "
+      << "\"in_h\": 32, \"in_w\": 32, \"kernel_h\": 6, \"kernel_w\": 6, "
+      << "\"stride_h\": 2, \"stride_w\": 2, \"pad_h\": 2, \"pad_w\": 2, "
+      << "\"out_c\": 32, \"phase\": \"backward_data\", "
+      << "\"parallel_ok\": true, \"batch\": 8, \"backend\": \"" << backend
+      << "\", \"best_us\": 100, \"im2col_us\": 100, \"tuned\": true}]}";
+  return doc.str();
+}
+
+TEST(PlanCachePersistence, VersionFourFileIsRejectedThenRetuned) {
+  // Files tuned before the sub-pixel backend joined the race carry
+  // version 4 and name im2col for the decoder's deconvolutions. They fail
+  // the version check with a named IoError and leave the cache empty, so
+  // those problems tune again with sub-pixel among the candidates.
+  const gemm::ConvProblem decoder = make_problem(16, 32, 32, 6, 2, 2);
+  const std::string path = temp_cache_path("v4");
+  {
+    std::ofstream out(path);
+    out << handwritten_decoder_plan(4, "im2col");
+  }
+  gemm::ConvPlanCache cache(fast_tune());
+  try {
+    cache.load(path);
+    ADD_FAILURE() << "version-4 file was accepted";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("format version 4 != expected 5"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  cache.plan(decoder, ConvPhase::kBackwardData, /*parallel_ok=*/true, 8);
+  EXPECT_EQ(cache.misses(), 1u);
+  // The version is the only defect: the same document at version 5 loads.
+  gemm::ConvPlanCache current(fast_tune());
+  current.load_document(handwritten_decoder_plan(5, "im2col"), "test");
+  EXPECT_EQ(current.size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(PlanCachePersistence, SubpixelNamedForAProblemItCannotRunIsRejected) {
+  // The loader's applicability check covers the new backend: sub-pixel
+  // named for a stride-1 problem is corrupt, not a plan to dispatch.
+  gemm::ConvPlanCache cache(fast_tune());
+  cache.plan(make_problem(2, 3, 10, 3, 1, 1));
+  std::string doc = cache.dump();
+  const auto pos = doc.find("\"backend\": \"");
+  ASSERT_NE(pos, std::string::npos);
+  doc.replace(pos, doc.find('"', pos + 12) + 1 - pos,
+              "\"backend\": \"subpixel\"");
+  gemm::ConvPlanCache fresh(fast_tune());
+  try {
+    fresh.load_document(doc, "test");
+    ADD_FAILURE() << "sub-pixel on a stride-1 problem was accepted";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "backend 'subpixel' not applicable to stored problem"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fresh.size(), 0u);
+  // Named for a decoder problem it loads.
+  fresh.load_document(handwritten_decoder_plan(5, "subpixel"), "test");
+  EXPECT_EQ(fresh.size(), 1u);
 }
 
 // ---- Conv2d dispatch -------------------------------------------------------
@@ -989,6 +1276,73 @@ TEST(Conv2dDispatch, ForcedWinogradOnBadGeometryIsRefused) {
       "Winograd requires 3x3 stride-1");
 }
 
+TEST(Conv2dDispatch, ForcedSubpixelOnBadGeometryIsRefused) {
+  Rng rng(7);
+  // 4x4/2 pad 1: k = 2p + s, but s does not divide p.
+  PF15_EXPECT_CHECK_FAIL(
+      nn::Conv2d("c", conv_config(2, 3, 4, 2, 1, nn::ConvAlgo::kSubpixel),
+                 rng),
+      "sub-pixel requires stride >= 2");
+  // Stride 1.
+  PF15_EXPECT_CHECK_FAIL(
+      nn::Conv2d("c", conv_config(2, 3, 3, 1, 1, nn::ConvAlgo::kSubpixel),
+                 rng),
+      "sub-pixel requires stride >= 2");
+}
+
+TEST(Conv2dDispatch, ForcedSubpixelFallsBackToIm2colOnAnOddSide) {
+  // 6x6/2 pad 2 qualifies, but only on inputs the stride divides: on a
+  // 9 px input every phase falls back to the im2col adjoint, reported
+  // and bit-identical to a forced im2col layer.
+  Rng rng(7);
+  nn::Conv2d sub("c", conv_config(2, 3, 6, 2, 2, nn::ConvAlgo::kSubpixel),
+                 rng);
+  Rng ref_rng(7);
+  nn::Conv2d ref("c", conv_config(2, 3, 6, 2, 2, nn::ConvAlgo::kIm2col),
+                 ref_rng);
+  const Shape even{2, 2, 8, 8};
+  EXPECT_EQ(sub.forward_backend(even), ConvBackendKind::kSubpixel);
+  EXPECT_EQ(sub.backward_backend(even, ConvPhase::kBackwardData),
+            ConvBackendKind::kSubpixel);
+  EXPECT_EQ(sub.backward_backend(even, ConvPhase::kBackwardFilter),
+            ConvBackendKind::kSubpixel);
+
+  const Shape odd{2, 2, 9, 9};
+  Tensor input(odd);
+  input.fill_uniform(rng, -1.0f, 1.0f);
+  Tensor out, ref_out, din, ref_din;
+  sub.forward(input, out);
+  ref.forward(input, ref_out);
+  Tensor dout(out.shape());
+  dout.fill_uniform(rng, -1.0f, 1.0f);
+  sub.backward(input, dout, din);
+  ref.backward(input, dout, ref_din);
+  EXPECT_EQ(sub.last_forward_backend(), ConvBackendKind::kIm2col);
+  EXPECT_EQ(sub.last_backward_data_backend(), ConvBackendKind::kIm2col);
+  EXPECT_EQ(sub.last_backward_filter_backend(), ConvBackendKind::kIm2col);
+  for (std::size_t i = 0; i < out.numel(); ++i) {
+    ASSERT_EQ(out.data()[i], ref_out.data()[i]) << "output " << i;
+  }
+  for (std::size_t i = 0; i < din.numel(); ++i) {
+    ASSERT_EQ(din.data()[i], ref_din.data()[i]) << "din " << i;
+  }
+  const Tensor& dw = *sub.params()[0].grad;
+  const Tensor& ref_dw = *ref.params()[0].grad;
+  for (std::size_t i = 0; i < dw.numel(); ++i) {
+    ASSERT_EQ(dw.data()[i], ref_dw.data()[i]) << "dweight " << i;
+  }
+}
+
+TEST(Conv2dDispatch, SubpixelGradientCheck) {
+  Rng rng(35);
+  nn::Conv2d conv("c", conv_config(2, 3, 6, 2, 2, nn::ConvAlgo::kSubpixel),
+                  rng);
+  Tensor input(Shape{2, 2, 8, 8});
+  input.fill_uniform(rng, -1.0f, 1.0f);
+  ASSERT_EQ(conv.forward_backend(input.shape()), ConvBackendKind::kSubpixel);
+  testing::check_layer_gradients(conv, input);
+}
+
 TEST(Conv2dDispatch, BatchParallelForwardMatchesPerImageForward) {
   // The batch > 1 path fans images across the thread pool; it must be
   // bit-identical to serial single-image forwards of the same layer.
@@ -1098,37 +1452,60 @@ TEST(Conv2dDispatch, StridedDirectBackwardGradientCheck) {
 
 // ---- Deconv2d through the shared dispatch ----------------------------------
 
+nn::Deconv2dConfig deconv_config(std::size_t in_c, std::size_t out_c,
+                                 std::size_t kernel, std::size_t stride,
+                                 std::size_t pad, nn::ConvAlgo algo) {
+  nn::Deconv2dConfig cfg;
+  cfg.in_channels = in_c;
+  cfg.out_channels = out_c;
+  cfg.kernel = kernel;
+  cfg.stride = stride;
+  cfg.pad = pad;
+  cfg.bias = true;
+  cfg.algo = algo;
+  return cfg;
+}
+
 TEST(Deconv2dDispatch, ForcedBackendsMatchIm2colForward) {
   const Shape in_shape{2, 3, 5, 5};
   Rng data_rng(17);
   Tensor input(in_shape);
   input.fill_uniform(data_rng, -1.0f, 1.0f);
-
-  auto build = [&](nn::ConvAlgo algo) {
-    Rng rng(55);
-    nn::Deconv2dConfig cfg;
-    cfg.in_channels = 3;
-    cfg.out_channels = 2;
-    cfg.kernel = 3;
-    cfg.stride = 2;
-    cfg.pad = 1;
-    cfg.bias = true;
-    cfg.algo = algo;
-    return nn::Deconv2d("d", cfg, rng);
+  // 3x3/2 pad 1, and the climate decoder's 6x6/2 pad 2 (where sub-pixel
+  // also applies).
+  const struct {
+    std::size_t kernel, pad;
+    std::vector<std::pair<nn::ConvAlgo, ConvBackendKind>> forced;
+  } cases[] = {
+      {3, 1, {{nn::ConvAlgo::kDirect, ConvBackendKind::kDirect}}},
+      {6, 2,
+       {{nn::ConvAlgo::kDirect, ConvBackendKind::kDirect},
+        {nn::ConvAlgo::kSubpixel, ConvBackendKind::kSubpixel}}},
   };
-
-  nn::Deconv2d reference = build(nn::ConvAlgo::kIm2col);
-  Tensor ref_out;
-  reference.forward(input, ref_out);
-  // Direct supports every phase; the layer's forward is backward-data.
-  nn::Deconv2d direct = build(nn::ConvAlgo::kDirect);
-  EXPECT_EQ(direct.phase_backend(in_shape, ConvPhase::kBackwardData),
-            ConvBackendKind::kDirect);
-  Tensor out;
-  direct.forward(input, out);
-  ASSERT_EQ(out.shape(), ref_out.shape());
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    ASSERT_NEAR(out.data()[i], ref_out.data()[i], 1e-4f) << "element " << i;
+  for (const auto& c : cases) {
+    const auto build = [&](nn::ConvAlgo algo) {
+      Rng rng(55);
+      return nn::Deconv2d("d", deconv_config(3, 2, c.kernel, 2, c.pad, algo),
+                          rng);
+    };
+    nn::Deconv2d reference = build(nn::ConvAlgo::kIm2col);
+    Tensor ref_out;
+    reference.forward(input, ref_out);
+    for (const auto& [algo, kind] : c.forced) {
+      SCOPED_TRACE(std::string(gemm::to_string(kind)) + " kernel " +
+                   std::to_string(c.kernel));
+      // The layer's forward is the convolution's backward-data phase.
+      nn::Deconv2d deconv = build(algo);
+      EXPECT_EQ(deconv.phase_backend(in_shape, ConvPhase::kBackwardData),
+                kind);
+      Tensor out;
+      deconv.forward(input, out);
+      ASSERT_EQ(out.shape(), ref_out.shape());
+      for (std::size_t i = 0; i < out.numel(); ++i) {
+        ASSERT_NEAR(out.data()[i], ref_out.data()[i], 1e-4f)
+            << "element " << i;
+      }
+    }
   }
 }
 
@@ -1147,24 +1524,46 @@ TEST(Deconv2dDispatch, ForcedWinogradOnBadGeometryIsRefused) {
                          "Winograd requires 3x3 stride-1");
 }
 
+TEST(Deconv2dDispatch, ForcedSubpixelOnBadGeometryIsRefused) {
+  // 4x4/2 pad 1 (Deconv2d.GradientCheck's shape) can never qualify.
+  Rng rng(19);
+  PF15_EXPECT_CHECK_FAIL(
+      nn::Deconv2d("d", deconv_config(2, 3, 4, 2, 1,
+                                      nn::ConvAlgo::kSubpixel),
+                   rng),
+      "sub-pixel requires stride >= 2");
+}
+
 TEST(Deconv2dDispatch, GradientCheckAtStride2) {
-  // The satellite regression test: stride-2 deconvolution (the climate
-  // decoder shape class) must keep exact gradients now that forward and
-  // backward run through the shared backend dispatch.
-  for (auto algo : {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kDirect}) {
-    Rng rng(61);
-    nn::Deconv2dConfig cfg;
-    cfg.in_channels = 2;
-    cfg.out_channels = 3;
-    cfg.kernel = 3;
-    cfg.stride = 2;
-    cfg.pad = 1;
-    cfg.bias = true;
-    cfg.algo = algo;
-    nn::Deconv2d deconv("d", cfg, rng);
-    Tensor input(Shape{2, 2, 4, 4});
-    input.fill_uniform(rng, -1.0f, 1.0f);
-    testing::check_layer_gradients(deconv, input);
+  // Stride-2 deconvolution must keep exact gradients through the shared
+  // backend dispatch: a 3x3/2 pad-1 kernel, and the climate decoder's
+  // 6x6/2 pad-2 kernel, where sub-pixel races too.
+  const struct {
+    std::size_t kernel, pad;
+    std::vector<nn::ConvAlgo> algos;
+  } cases[] = {
+      {3, 1, {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kDirect}},
+      {6, 2,
+       {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kDirect,
+        nn::ConvAlgo::kSubpixel}},
+  };
+  for (const auto& c : cases) {
+    for (const nn::ConvAlgo algo : c.algos) {
+      SCOPED_TRACE("kernel " + std::to_string(c.kernel) + " algo " +
+                   std::to_string(static_cast<int>(algo)));
+      Rng rng(61);
+      nn::Deconv2d deconv("d", deconv_config(2, 3, c.kernel, 2, c.pad, algo),
+                          rng);
+      Tensor input(Shape{2, 2, 4, 4});
+      input.fill_uniform(rng, -1.0f, 1.0f);
+      if (algo == nn::ConvAlgo::kSubpixel) {
+        for (const ConvPhase phase : gemm::kAllConvPhases) {
+          ASSERT_EQ(deconv.phase_backend(input.shape(), phase),
+                    ConvBackendKind::kSubpixel);
+        }
+      }
+      testing::check_layer_gradients(deconv, input);
+    }
   }
 }
 
@@ -1193,8 +1592,10 @@ TEST(Deconv2dDispatch, Stride1WinogradPathGradientCheck) {
 TEST(ConvSpace, EncodesApplicableBackendsPerPhase) {
   const gemm::ConvProblem p = make_problem(2, 3, 10, 3, 1, 1);
   // The space encodes exactly the backends autotune races, per phase.
+  const gemm::ConvProblem decoder = make_problem(16, 32, 32, 6, 2, 2);
   for (const gemm::ConvProblem& prob :
-       {p, make_problem(2, 3, 10, 3, 1, 3), make_problem(2, 3, 9, 5, 2, 2)}) {
+       {p, make_problem(2, 3, 10, 3, 1, 3), make_problem(2, 3, 9, 5, 2, 2),
+        decoder}) {
     for (const ConvPhase phase : gemm::kAllConvPhases) {
       const tune::Space space = tune::conv_backend_space(prob, phase);
       ASSERT_EQ(space.size(), 1u);
@@ -1210,11 +1611,19 @@ TEST(ConvSpace, EncodesApplicableBackendsPerPhase) {
   }
   // 3x3 stride-1 forward: im2col, winograd, direct.
   EXPECT_EQ(tune::conv_backend_space(p).dimensions()[0].choices.size(), 3u);
+  // The decoder's 6x6/2 pad 2, every phase: im2col, direct, subpixel.
+  for (const ConvPhase phase : gemm::kAllConvPhases) {
+    const tune::Space space = tune::conv_backend_space(decoder, phase);
+    const auto& choices = space.dimensions()[0].choices;
+    ASSERT_EQ(choices.size(), 3u);
+    const auto subpixel = static_cast<int>(ConvBackendKind::kSubpixel);
+    EXPECT_EQ(choices.back(), static_cast<double>(subpixel));
+  }
 }
 
 TEST(ConvSpace, DecodeRejectsCodesOfNoRegisteredBackend) {
   // Code 2 is retired; it must not pass the range check into backend().
-  for (double code : {2.0, -1.0, 4.0}) {
+  for (double code : {2.0, -1.0, 5.0}) {
     tune::Config config{{tune::kConvBackendDim, code}};
     PF15_EXPECT_CHECK_FAIL(tune::decode_backend(config),
                            "names no registered backend");

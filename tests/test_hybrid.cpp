@@ -1,6 +1,8 @@
 // Hybrid trainer integration: sync-mode replica consistency, sync-vs-PS
 // equivalence at one group, multi-group progress, staleness reporting,
-// straggler injection, and momentum tuning plumbed through.
+// straggler injection, and momentum tuning plumbed through. Also the
+// trainable adapters' backward, which never computes the gradient of the
+// network input.
 #include <gtest/gtest.h>
 
 #include "check_failure.hpp"
@@ -11,6 +13,7 @@
 #include <memory>
 
 #include "data/hep_generator.hpp"
+#include "gemm/conv_backend.hpp"
 #include "hybrid/hybrid_trainer.hpp"
 
 namespace pf15::hybrid {
@@ -75,6 +78,103 @@ BatchSource hep_batches(std::size_t bs = 4) {
   return [bs](int rank, std::size_t iter) {
     return tiny_data().batch(rank, iter, bs);
   };
+}
+
+/// Every parameter gradient of `a` and `b` is byte-identical.
+void expect_grads_memcmp_equal(const std::vector<nn::Param>& a,
+                               const std::vector<nn::Param>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].grad->numel(), b[i].grad->numel()) << a[i].name;
+    EXPECT_EQ(std::memcmp(a[i].grad->data(), b[i].grad->data(),
+                          a[i].grad->numel() * sizeof(float)),
+              0)
+        << a[i].name;
+  }
+}
+
+TEST(TrainableModels, HepStepSkipsTheInputGradientBitIdentically) {
+  // train_step skips conv1's data pass; a full Sequential::backward of
+  // the same step must leave the same parameter gradients, byte for byte.
+  const data::Batch batch = tiny_data().batch(0, 0, 4);
+  HepTrainable skip(nn::HepConfig::tiny());
+  HepTrainable full(nn::HepConfig::tiny());
+  skip.train_step(batch);
+  const Tensor& logits = full.net().forward(batch.images);
+  nn::SoftmaxCrossEntropy loss;
+  Tensor probs, dlogits;
+  loss.forward_backward(logits, batch.labels, probs, dlogits);
+  full.net().backward(batch.images, dlogits);
+  expect_grads_memcmp_equal(skip.params(), full.params());
+}
+
+TEST(TrainableModels, ClimateStepSkipsTheInputGradientBitIdentically) {
+  nn::ClimateConfig cfg = nn::ClimateConfig::tiny();
+  data::Batch batch;
+  batch.images = Tensor(Shape{3, cfg.channels, cfg.image, cfg.image});
+  Rng rng(0xc11);
+  batch.images.fill_uniform(rng, -1.0f, 1.0f);
+  for (std::size_t i = 0; i < 3; ++i) {
+    batch.labels.push_back(0);
+    batch.boxes.push_back({nn::Box{0.2f, 0.3f, 0.25f, 0.2f, 1}});
+    batch.labeled.push_back(i != 1);
+  }
+  ClimateTrainable skip(cfg);
+  ClimateTrainable full(cfg);
+  skip.train_step(batch);
+
+  // ClimateNet::backward by hand, with the encoder's full backward.
+  nn::ClimateNet& net = full.net();
+  std::vector<nn::ClimateTarget> targets(3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    targets[i].boxes = batch.boxes[i];
+    targets[i].labeled = batch.labeled[i];
+  }
+  nn::ClimateNet::OutputGrads grads;
+  nn::ClimateLoss().compute(net.forward(batch.images), batch.images, targets,
+                            grads);
+  const Tensor features = net.encoder().forward(batch.images).clone();
+  Tensor dfeatures(features.shape());
+  dfeatures.zero();
+  dfeatures.axpy(1.0f, net.conf_head().backward(features, grads.conf));
+  dfeatures.axpy(1.0f, net.cls_head().backward(features, grads.cls));
+  dfeatures.axpy(1.0f, net.xy_head().backward(features, grads.xy));
+  dfeatures.axpy(1.0f, net.wh_head().backward(features, grads.wh));
+  dfeatures.axpy(1.0f, net.decoder().backward(features, grads.recon));
+  net.encoder().backward(batch.images, dfeatures);
+  expect_grads_memcmp_equal(skip.params(), full.params());
+}
+
+TEST(TrainableModels, HepStepNeverPlansConv1DataGradient) {
+  // On a cleared plan cache a kAuto HEP step resolves — and so tunes —
+  // no backward-data plan for conv1, while the deeper convolutions still
+  // plan theirs.
+  gemm::ConvPlanCache& cache = gemm::ConvPlanCache::global();
+  cache.clear();
+  const nn::HepConfig cfg = nn::HepConfig::tiny();
+  ASSERT_EQ(cfg.algo, nn::ConvAlgo::kAuto);
+  HepTrainable model(cfg);
+  const std::size_t batch = 4;
+  model.train_step(tiny_data().batch(0, 0, batch));
+  const auto problem = [&](std::size_t in_c, std::size_t hw) {
+    gemm::ConvProblem p;
+    p.geom.in_c = in_c;
+    p.geom.in_h = p.geom.in_w = hw;
+    p.geom.kernel_h = p.geom.kernel_w = 3;
+    p.geom.pad_h = p.geom.pad_w = 1;
+    p.out_c = cfg.filters;
+    return p;
+  };
+  const gemm::ConvProblem conv1 = problem(cfg.channels, cfg.image);
+  const gemm::ConvProblem conv2 = problem(cfg.filters, cfg.image / 2);
+  using gemm::ConvPhase;
+  EXPECT_FALSE(
+      cache.lookup(conv1, ConvPhase::kBackwardData, true, batch).has_value());
+  EXPECT_TRUE(
+      cache.lookup(conv1, ConvPhase::kBackwardFilter, true, batch)
+          .has_value());
+  EXPECT_TRUE(
+      cache.lookup(conv2, ConvPhase::kBackwardData, true, batch).has_value());
 }
 
 TEST(HybridTrainer, ValidatesGroupDivisibility) {

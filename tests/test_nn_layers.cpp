@@ -784,45 +784,69 @@ TEST(ImageParallelBackward, Conv2dMatchesPerImagePasses) {
 
 TEST(ImageParallelBackward, Deconv2dMatchesPerImagePasses) {
   using gemm::ConvPhase;
-  for (const ForcedBackend& fb : kForcedBackends) {
-    for (const std::size_t side : kBackwardSides) {
-      for (const std::size_t batch : kBackwardBatches) {
-        SCOPED_TRACE(std::string(gemm::to_string(fb.kind)) + " side " +
-                     std::to_string(side) + " batch " +
-                     std::to_string(batch));
-        Rng rng(32);
-        Deconv2d dc("d", {5, 3, 3, 1, 1, true, fb.algo}, rng);
-        const Tensor in = random_input(Shape{batch, 5, side, side},
-                                       0xe0 + side + batch);
-        Tensor out;
-        dc.forward(in, out);
-        const Tensor dout = random_input(out.shape(), 0xf0 + side + batch);
+  // 3x3/1 pad 1 under every backend, and the climate decoder's 6x6/2
+  // pad 2 under the backends that run it.
+  const struct {
+    std::size_t kernel, stride, pad;
+    std::vector<ForcedBackend> backends;
+  } shapes[] = {
+      {3, 1, 1, {std::begin(kForcedBackends), std::end(kForcedBackends)}},
+      {6, 2, 2,
+       {{ConvAlgo::kIm2col, gemm::ConvBackendKind::kIm2col},
+        {ConvAlgo::kDirect, gemm::ConvBackendKind::kDirect},
+        {ConvAlgo::kSubpixel, gemm::ConvBackendKind::kSubpixel}}},
+  };
+  for (const auto& shape : shapes) {
+    for (const ForcedBackend& fb : shape.backends) {
+      for (const std::size_t side : kBackwardSides) {
+        for (const std::size_t batch : kBackwardBatches) {
+          SCOPED_TRACE(std::string(gemm::to_string(fb.kind)) + " kernel " +
+                       std::to_string(shape.kernel) + " side " +
+                       std::to_string(side) + " batch " +
+                       std::to_string(batch));
+          Rng rng(32);
+          Deconv2d dc("d",
+                      {5, 3, shape.kernel, shape.stride, shape.pad, true,
+                       fb.algo},
+                      rng);
+          const Tensor in = random_input(Shape{batch, 5, side, side},
+                                         0xe0 + side + batch);
+          Tensor out;
+          dc.forward(in, out);
+          const Tensor dout = random_input(out.shape(), 0xf0 + side + batch);
 
-        // The underlying convolution maps the deconv output (3 channels)
-        // onto its input (5 channels).
-        const gemm::ConvProblem p = same_3x3(3, 5, side);
-        const gemm::ConvBackendKind dkind =
-            dc.phase_backend(in.shape(), ConvPhase::kForward);
-        const gemm::ConvBackendKind fkind =
-            dc.phase_backend(in.shape(), ConvPhase::kBackwardFilter);
-        ASSERT_EQ(dkind, fb.kind);
-        ASSERT_EQ(fkind, fb.kind);
-        const gemm::ConvBackend& dbe = gemm::backend(dkind);
-        const gemm::ConvBackend& fbe = gemm::backend(fkind);
-        const float* w = dc.params()[0].value->data();
-        const std::size_t in_img = 5 * side * side, out_img = 3 * side * side;
-        ImagePasses passes;
-        passes.in_img = in_img;
-        passes.data = [&](std::size_t img, float* din) {
-          dbe.forward(p, dout.data() + img * out_img, w, nullptr, din,
-                      /*parallel_ok=*/true);
-        };
-        passes.filter = [&](std::size_t img, float* dweight) {
-          fbe.backward_filter(p, dout.data() + img * out_img,
-                              in.data() + img * in_img, dweight,
-                              /*parallel_ok=*/true);
-        };
-        check_image_parallel_backward(dc, in, dout, passes);
+          // The underlying convolution maps the deconv output (3 channels)
+          // onto its input (5 channels).
+          const std::size_t out_side =
+              (side - 1) * shape.stride + shape.kernel - 2 * shape.pad;
+          gemm::ConvProblem p = same_3x3(3, 5, out_side);
+          p.geom.kernel_h = p.geom.kernel_w = shape.kernel;
+          p.geom.stride_h = p.geom.stride_w = shape.stride;
+          p.geom.pad_h = p.geom.pad_w = shape.pad;
+          const gemm::ConvBackendKind dkind =
+              dc.phase_backend(in.shape(), ConvPhase::kForward);
+          const gemm::ConvBackendKind fkind =
+              dc.phase_backend(in.shape(), ConvPhase::kBackwardFilter);
+          ASSERT_EQ(dkind, fb.kind);
+          ASSERT_EQ(fkind, fb.kind);
+          const gemm::ConvBackend& dbe = gemm::backend(dkind);
+          const gemm::ConvBackend& fbe = gemm::backend(fkind);
+          const float* w = dc.params()[0].value->data();
+          const std::size_t in_img = 5 * side * side;
+          const std::size_t out_img = 3 * out_side * out_side;
+          ImagePasses passes;
+          passes.in_img = in_img;
+          passes.data = [&](std::size_t img, float* din) {
+            dbe.forward(p, dout.data() + img * out_img, w, nullptr, din,
+                        /*parallel_ok=*/true);
+          };
+          passes.filter = [&](std::size_t img, float* dweight) {
+            fbe.backward_filter(p, dout.data() + img * out_img,
+                                in.data() + img * in_img, dweight,
+                                /*parallel_ok=*/true);
+          };
+          check_image_parallel_backward(dc, in, dout, passes);
+        }
       }
     }
   }

@@ -870,7 +870,7 @@ TEST(CompiledServing, VersionThreePlanSectionIsIgnoredAndRetuned) {
   std::remove(path.c_str());
 }
 
-TEST(CompiledServing, VersionFourPlanSectionNamingFftIsRejected) {
+TEST(CompiledServing, CurrentVersionPlanSectionNamingFftIsRejected) {
   // "fft" is no longer a backend: a current-version section naming it
   // is corrupt, not a plan to dispatch.
   nn::Sequential net = nn::build_hep_network(nn::HepConfig::tiny());
