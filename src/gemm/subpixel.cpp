@@ -2,16 +2,12 @@
 
 namespace pf15::gemm {
 
-bool subpixel_applicable(std::size_t kernel, std::size_t stride,
-                         std::size_t pad) {
-  return stride >= 2 && kernel == 2 * pad + stride && pad % stride == 0;
-}
-
 bool subpixel_applicable(const ConvGeom& g) {
-  return g.kernel_h == g.kernel_w && g.stride_h == g.stride_w &&
-         g.pad_h == g.pad_w &&
-         subpixel_applicable(g.kernel_h, g.stride_h, g.pad_h) &&
-         g.in_h % g.stride_h == 0 && g.in_w % g.stride_w == 0;
+  const std::size_t k = g.kernel_h;
+  const std::size_t s = g.stride_h;
+  const std::size_t p = g.pad_h;
+  return g.kernel_w == k && g.stride_w == s && g.pad_w == p && s >= 2 &&
+         k == 2 * p + s && p % s == 0 && g.in_h % s == 0 && g.in_w % s == 0;
 }
 
 ConvGeom subpixel_low_geom(const ConvGeom& g, std::size_t channels) {

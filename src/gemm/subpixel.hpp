@@ -37,15 +37,9 @@
 
 namespace pf15::gemm {
 
-/// Whether a (kernel, stride, pad) triple can ever run in sub-pixel
-/// form: stride >= 2, kernel == 2 * pad + stride and stride | pad. A
-/// problem additionally needs square kernel/stride/pad and input sides
-/// divisible by the stride (subpixel_applicable(const ConvGeom&)).
-bool subpixel_applicable(std::size_t kernel, std::size_t stride,
-                         std::size_t pad);
-
-/// Full applicability of `g`: the triple rule above on equal axes, plus
-/// in_h and in_w divisible by the stride.
+/// Whether `g` runs in sub-pixel form: kernel, stride and pad equal on
+/// both axes, stride s >= 2, kernel k == 2p + s, s | p, and in_h and in_w
+/// divisible by s.
 bool subpixel_applicable(const ConvGeom& g);
 
 /// The stride-1 t x t pad-(p/s) convolution over the low-resolution side

@@ -5,7 +5,6 @@
 #include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/scratch.hpp"
-#include "gemm/subpixel.hpp"
 #include "gemm/winograd.hpp"
 #include "nn/elementwise.hpp"
 
@@ -28,9 +27,6 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
     case ConvAlgo::kDirect:
       forced = gemm::ConvBackendKind::kDirect;
       break;
-    case ConvAlgo::kSubpixel:
-      forced = gemm::ConvBackendKind::kSubpixel;
-      break;
     case ConvAlgo::kAuto:
       // kAuto: every applicable backend races once per (problem, phase,
       // execution mode, batch bucket) and the measured winner is
@@ -40,8 +36,7 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
           .kind;
   }
   // A forced backend that declines this phase (Winograd backward-data at
-  // pad > 2, sub-pixel on an input side the stride does not divide)
-  // falls back to the always-applicable im2col adjoint; the
+  // pad > 2) falls back to the always-applicable im2col adjoint; the
   // layers' backend query methods report the fallback, so it is
   // explicit, never silent.
   if (!gemm::backend(forced).applicable(p, phase)) {
@@ -64,16 +59,10 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
 }
 
 void check_forced_algo(const std::string& layer, ConvAlgo algo,
-                       std::size_t kernel, std::size_t stride,
-                       std::size_t pad) {
+                       std::size_t kernel, std::size_t stride) {
   if (algo == ConvAlgo::kWinograd) {
     PF15_CHECK_MSG(gemm::winograd_applicable(kernel, stride),
                    layer << ": Winograd requires 3x3 stride-1");
-  }
-  if (algo == ConvAlgo::kSubpixel) {
-    PF15_CHECK_MSG(gemm::subpixel_applicable(kernel, stride, pad),
-                   layer << ": sub-pixel requires stride >= 2, kernel = "
-                            "2 * pad + stride and stride | pad");
   }
 }
 
@@ -101,7 +90,7 @@ Conv2d::Conv2d(std::string name, const Conv2dConfig& cfg, Rng& rng)
       bias_grad_(bias_.shape()) {
   PF15_CHECK(cfg.in_channels > 0 && cfg.out_channels > 0 && cfg.kernel > 0 &&
              cfg.stride > 0);
-  check_forced_algo(name_, cfg.algo, cfg.kernel, cfg.stride, cfg.pad);
+  check_forced_algo(name_, cfg.algo, cfg.kernel, cfg.stride);
   weight_.fill_he(rng, cfg.in_channels * cfg.kernel * cfg.kernel);
   bias_.zero();
 }

@@ -25,15 +25,16 @@
 
 namespace pf15::nn {
 
-/// Algorithm selection. kIm2col/kWinograd/kDirect/kSubpixel force one
-/// gemm::ConvBackend (construction PF15_CHECKs the kernel/stride/pad
-/// rule of Winograd and sub-pixel; direct applies everywhere); kAuto
-/// lets the autotune plan cache pick per (geometry, phase). A forced
-/// backend that declines a phase (Winograd backward-data at pad > 2,
-/// sub-pixel on an input side the stride does not divide) falls back to
-/// the im2col adjoint there — the fallback is explicit via
+/// Algorithm selection. kIm2col/kWinograd/kDirect force one
+/// gemm::ConvBackend (construction PF15_CHECKs applicability for
+/// Winograd; direct applies everywhere); kAuto lets the autotune plan
+/// cache pick per (geometry, phase). The sub-pixel backend has no forcing
+/// value: it runs where kAuto's race or a ConvPlanCache::insert override
+/// picks it. A forced backend that declines a
+/// backward phase (Winograd backward-data at pad > 2) falls back to the
+/// im2col adjoint there — the fallback is explicit via
 /// backward_backend(), never silent.
-enum class ConvAlgo { kIm2col, kWinograd, kAuto, kDirect, kSubpixel };
+enum class ConvAlgo { kIm2col, kWinograd, kAuto, kDirect };
 
 struct Conv2dConfig {
   std::size_t in_channels = 0;
@@ -48,8 +49,7 @@ struct Conv2dConfig {
 /// The one algo-to-backend resolution policy, shared by every layer that
 /// dispatches convolution phases (Conv2d, Deconv2d): a forced algo wins
 /// when it supports the phase, falls back to the im2col adjoint when it
-/// declines it (Winograd backward-data at pad > 2, sub-pixel on an odd
-/// input side), and kAuto asks the
+/// declines it (Winograd backward-data at pad > 2), and kAuto asks the
 /// global plan cache — tuning on first sight in the given execution mode
 /// and batch bucket (gemm::conv_batch_bucket of the layer's batch
 /// dimension).
@@ -69,13 +69,11 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
                                            bool parallel_ok,
                                            std::size_t batch = 1);
 
-/// Refuses, at layer construction, a forced algo whose kernel, stride and
-/// pad can never qualify (Winograd off 3x3 stride 1, sub-pixel off
-/// k = 2p + s with s >= 2 and s | p): an impossible forced backend is an
-/// error, not a silent downgrade to im2col. `layer` names the layer.
+/// Refuses, at layer construction, a forced Winograd off 3x3 stride 1:
+/// an impossible forced backend is an error, not a silent downgrade to
+/// im2col. `layer` names the layer.
 void check_forced_algo(const std::string& layer, ConvAlgo algo,
-                       std::size_t kernel, std::size_t stride,
-                       std::size_t pad);
+                       std::size_t kernel, std::size_t stride);
 
 /// The image loop of Conv2d and Deconv2d backward. Runs image(img,
 /// partial) for every img in [0, n_img) as tasks on the global scheduler;

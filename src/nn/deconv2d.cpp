@@ -22,7 +22,7 @@ Deconv2d::Deconv2d(std::string name, const Deconv2dConfig& cfg, Rng& rng)
   // can never run this geometry is refused loudly, not silently
   // downgraded (the per-phase im2col fallback covers declined phases,
   // not wholly inapplicable configurations).
-  check_forced_algo(name_, cfg.algo, cfg.kernel, cfg.stride, cfg.pad);
+  check_forced_algo(name_, cfg.algo, cfg.kernel, cfg.stride);
   // Fan-in of the adjoint convolution: each output pixel receives
   // contributions from ~OC * (K/stride)^2 taps; use the conv-style fan-in
   // of the transposed kernel for a comparable scale.

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 
 #include "check_failure.hpp"
 #include "gradient_check.hpp"
+#include "pinned_plans.hpp"
 
 #include "common/rng.hpp"
 #include "gemm/conv_backend.hpp"
@@ -246,6 +248,8 @@ TEST(ConvBackendRegistry, SubpixelNeedsKernel2PadPlusStrideAndStrideDivPad) {
   gemm::ConvProblem odd_w = make_problem(2, 3, 8, 6, 2, 2);
   odd_w.geom.in_w = 9;
   EXPECT_TRUE(declines_every_phase(odd_w));
+  // t = 1: a pixel shuffle.
+  EXPECT_TRUE(runs_every_phase(make_problem(2, 3, 8, 2, 2, 0)));
   // Stride 1 (3x3 pad 1 meets k = 2p + s and s | p).
   EXPECT_TRUE(declines_every_phase(make_problem(2, 3, 8, 3, 1, 1)));
   // The encoder's 5x5/2 pad 2: k != 2p + s.
@@ -255,11 +259,6 @@ TEST(ConvBackendRegistry, SubpixelNeedsKernel2PadPlusStrideAndStrideDivPad) {
   aniso.geom.pad_w = 4;
   aniso.geom.kernel_w = 10;
   EXPECT_TRUE(declines_every_phase(aniso));
-  // The construction-time rule on (kernel, stride, pad) alone.
-  EXPECT_TRUE(gemm::subpixel_applicable(6, 2, 2));
-  EXPECT_FALSE(gemm::subpixel_applicable(4, 2, 1));
-  EXPECT_FALSE(gemm::subpixel_applicable(3, 1, 1));
-  EXPECT_TRUE(gemm::subpixel_applicable(2, 2, 0));  // t = 1: pixel shuffle
 }
 
 // ---- numerical agreement ---------------------------------------------------
@@ -1276,70 +1275,18 @@ TEST(Conv2dDispatch, ForcedWinogradOnBadGeometryIsRefused) {
       "Winograd requires 3x3 stride-1");
 }
 
-TEST(Conv2dDispatch, ForcedSubpixelOnBadGeometryIsRefused) {
-  Rng rng(7);
-  // 4x4/2 pad 1: k = 2p + s, but s does not divide p.
-  PF15_EXPECT_CHECK_FAIL(
-      nn::Conv2d("c", conv_config(2, 3, 4, 2, 1, nn::ConvAlgo::kSubpixel),
-                 rng),
-      "sub-pixel requires stride >= 2");
-  // Stride 1.
-  PF15_EXPECT_CHECK_FAIL(
-      nn::Conv2d("c", conv_config(2, 3, 3, 1, 1, nn::ConvAlgo::kSubpixel),
-                 rng),
-      "sub-pixel requires stride >= 2");
-}
-
-TEST(Conv2dDispatch, ForcedSubpixelFallsBackToIm2colOnAnOddSide) {
-  // 6x6/2 pad 2 qualifies, but only on inputs the stride divides: on a
-  // 9 px input every phase falls back to the im2col adjoint, reported
-  // and bit-identical to a forced im2col layer.
-  Rng rng(7);
-  nn::Conv2d sub("c", conv_config(2, 3, 6, 2, 2, nn::ConvAlgo::kSubpixel),
-                 rng);
-  Rng ref_rng(7);
-  nn::Conv2d ref("c", conv_config(2, 3, 6, 2, 2, nn::ConvAlgo::kIm2col),
-                 ref_rng);
-  const Shape even{2, 2, 8, 8};
-  EXPECT_EQ(sub.forward_backend(even), ConvBackendKind::kSubpixel);
-  EXPECT_EQ(sub.backward_backend(even, ConvPhase::kBackwardData),
-            ConvBackendKind::kSubpixel);
-  EXPECT_EQ(sub.backward_backend(even, ConvPhase::kBackwardFilter),
-            ConvBackendKind::kSubpixel);
-
-  const Shape odd{2, 2, 9, 9};
-  Tensor input(odd);
-  input.fill_uniform(rng, -1.0f, 1.0f);
-  Tensor out, ref_out, din, ref_din;
-  sub.forward(input, out);
-  ref.forward(input, ref_out);
-  Tensor dout(out.shape());
-  dout.fill_uniform(rng, -1.0f, 1.0f);
-  sub.backward(input, dout, din);
-  ref.backward(input, dout, ref_din);
-  EXPECT_EQ(sub.last_forward_backend(), ConvBackendKind::kIm2col);
-  EXPECT_EQ(sub.last_backward_data_backend(), ConvBackendKind::kIm2col);
-  EXPECT_EQ(sub.last_backward_filter_backend(), ConvBackendKind::kIm2col);
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    ASSERT_EQ(out.data()[i], ref_out.data()[i]) << "output " << i;
-  }
-  for (std::size_t i = 0; i < din.numel(); ++i) {
-    ASSERT_EQ(din.data()[i], ref_din.data()[i]) << "din " << i;
-  }
-  const Tensor& dw = *sub.params()[0].grad;
-  const Tensor& ref_dw = *ref.params()[0].grad;
-  for (std::size_t i = 0; i < dw.numel(); ++i) {
-    ASSERT_EQ(dw.data()[i], ref_dw.data()[i]) << "dweight " << i;
-  }
-}
-
 TEST(Conv2dDispatch, SubpixelGradientCheck) {
+  const testing::PinnedConvPlans pin(make_problem(2, 3, 8, 6, 2, 2),
+                                     ConvBackendKind::kSubpixel);
   Rng rng(35);
-  nn::Conv2d conv("c", conv_config(2, 3, 6, 2, 2, nn::ConvAlgo::kSubpixel),
-                  rng);
+  nn::Conv2d conv("c", conv_config(2, 3, 6, 2, 2, nn::ConvAlgo::kAuto), rng);
   Tensor input(Shape{2, 2, 8, 8});
   input.fill_uniform(rng, -1.0f, 1.0f);
   ASSERT_EQ(conv.forward_backend(input.shape()), ConvBackendKind::kSubpixel);
+  ASSERT_EQ(conv.backward_backend(input.shape(), ConvPhase::kBackwardData),
+            ConvBackendKind::kSubpixel);
+  ASSERT_EQ(conv.backward_backend(input.shape(), ConvPhase::kBackwardFilter),
+            ConvBackendKind::kSubpixel);
   testing::check_layer_gradients(conv, input);
 }
 
@@ -1472,7 +1419,7 @@ TEST(Deconv2dDispatch, ForcedBackendsMatchIm2colForward) {
   Tensor input(in_shape);
   input.fill_uniform(data_rng, -1.0f, 1.0f);
   // 3x3/2 pad 1, and the climate decoder's 6x6/2 pad 2 (where sub-pixel
-  // also applies).
+  // also applies). kAuto entries run a backend pinned in the plan cache.
   const struct {
     std::size_t kernel, pad;
     std::vector<std::pair<nn::ConvAlgo, ConvBackendKind>> forced;
@@ -1480,7 +1427,7 @@ TEST(Deconv2dDispatch, ForcedBackendsMatchIm2colForward) {
       {3, 1, {{nn::ConvAlgo::kDirect, ConvBackendKind::kDirect}}},
       {6, 2,
        {{nn::ConvAlgo::kDirect, ConvBackendKind::kDirect},
-        {nn::ConvAlgo::kSubpixel, ConvBackendKind::kSubpixel}}},
+        {nn::ConvAlgo::kAuto, ConvBackendKind::kSubpixel}}},
   };
   for (const auto& c : cases) {
     const auto build = [&](nn::ConvAlgo algo) {
@@ -1494,6 +1441,12 @@ TEST(Deconv2dDispatch, ForcedBackendsMatchIm2colForward) {
     for (const auto& [algo, kind] : c.forced) {
       SCOPED_TRACE(std::string(gemm::to_string(kind)) + " kernel " +
                    std::to_string(c.kernel));
+      // The underlying convolution maps the 10 px deconv output
+      // (2 channels) onto its 5 px input (3 channels).
+      std::optional<testing::PinnedConvPlans> pin;
+      if (algo == nn::ConvAlgo::kAuto) {
+        pin.emplace(make_problem(2, 3, 10, c.kernel, 2, c.pad), kind);
+      }
       // The layer's forward is the convolution's backward-data phase.
       nn::Deconv2d deconv = build(algo);
       EXPECT_EQ(deconv.phase_backend(in_shape, ConvPhase::kBackwardData),
@@ -1524,39 +1477,36 @@ TEST(Deconv2dDispatch, ForcedWinogradOnBadGeometryIsRefused) {
                          "Winograd requires 3x3 stride-1");
 }
 
-TEST(Deconv2dDispatch, ForcedSubpixelOnBadGeometryIsRefused) {
-  // 4x4/2 pad 1 (Deconv2d.GradientCheck's shape) can never qualify.
-  Rng rng(19);
-  PF15_EXPECT_CHECK_FAIL(
-      nn::Deconv2d("d", deconv_config(2, 3, 4, 2, 1,
-                                      nn::ConvAlgo::kSubpixel),
-                   rng),
-      "sub-pixel requires stride >= 2");
-}
-
 TEST(Deconv2dDispatch, GradientCheckAtStride2) {
   // Stride-2 deconvolution must keep exact gradients through the shared
   // backend dispatch: a 3x3/2 pad-1 kernel, and the climate decoder's
-  // 6x6/2 pad-2 kernel, where sub-pixel races too.
+  // 6x6/2 pad-2 kernel, where sub-pixel races too (pinned in the plan
+  // cache under kAuto, since it has no forcing value).
   const struct {
     std::size_t kernel, pad;
     std::vector<nn::ConvAlgo> algos;
   } cases[] = {
       {3, 1, {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kDirect}},
       {6, 2,
-       {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kDirect,
-        nn::ConvAlgo::kSubpixel}},
+       {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kDirect, nn::ConvAlgo::kAuto}},
   };
   for (const auto& c : cases) {
     for (const nn::ConvAlgo algo : c.algos) {
       SCOPED_TRACE("kernel " + std::to_string(c.kernel) + " algo " +
                    std::to_string(static_cast<int>(algo)));
+      // The underlying convolution maps the 8 px deconv output (3
+      // channels) onto its 4 px input (2 channels).
+      std::optional<testing::PinnedConvPlans> pin;
+      if (algo == nn::ConvAlgo::kAuto) {
+        pin.emplace(make_problem(3, 2, 8, c.kernel, 2, c.pad),
+                    ConvBackendKind::kSubpixel);
+      }
       Rng rng(61);
       nn::Deconv2d deconv("d", deconv_config(2, 3, c.kernel, 2, c.pad, algo),
                           rng);
       Tensor input(Shape{2, 2, 4, 4});
       input.fill_uniform(rng, -1.0f, 1.0f);
-      if (algo == nn::ConvAlgo::kSubpixel) {
+      if (algo == nn::ConvAlgo::kAuto) {
         for (const ConvPhase phase : gemm::kAllConvPhases) {
           ASSERT_EQ(deconv.phase_backend(input.shape(), phase),
                     ConvBackendKind::kSubpixel);

@@ -10,12 +10,14 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gradient_check.hpp"
+#include "pinned_plans.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/deconv2d.hpp"
@@ -785,7 +787,8 @@ TEST(ImageParallelBackward, Conv2dMatchesPerImagePasses) {
 TEST(ImageParallelBackward, Deconv2dMatchesPerImagePasses) {
   using gemm::ConvPhase;
   // 3x3/1 pad 1 under every backend, and the climate decoder's 6x6/2
-  // pad 2 under the backends that run it.
+  // pad 2 under the backends that run it. The kAuto entry runs sub-pixel,
+  // which has no forcing value, pinned in the plan cache.
   const struct {
     std::size_t kernel, stride, pad;
     std::vector<ForcedBackend> backends;
@@ -794,7 +797,7 @@ TEST(ImageParallelBackward, Deconv2dMatchesPerImagePasses) {
       {6, 2, 2,
        {{ConvAlgo::kIm2col, gemm::ConvBackendKind::kIm2col},
         {ConvAlgo::kDirect, gemm::ConvBackendKind::kDirect},
-        {ConvAlgo::kSubpixel, gemm::ConvBackendKind::kSubpixel}}},
+        {ConvAlgo::kAuto, gemm::ConvBackendKind::kSubpixel}}},
   };
   for (const auto& shape : shapes) {
     for (const ForcedBackend& fb : shape.backends) {
@@ -804,6 +807,17 @@ TEST(ImageParallelBackward, Deconv2dMatchesPerImagePasses) {
                        std::to_string(shape.kernel) + " side " +
                        std::to_string(side) + " batch " +
                        std::to_string(batch));
+          // The underlying convolution maps the deconv output (3 channels)
+          // onto its input (5 channels).
+          const std::size_t out_side =
+              (side - 1) * shape.stride + shape.kernel - 2 * shape.pad;
+          gemm::ConvProblem p = same_3x3(3, 5, out_side);
+          p.geom.kernel_h = p.geom.kernel_w = shape.kernel;
+          p.geom.stride_h = p.geom.stride_w = shape.stride;
+          p.geom.pad_h = p.geom.pad_w = shape.pad;
+          std::optional<testing::PinnedConvPlans> pin;
+          if (fb.algo == ConvAlgo::kAuto) pin.emplace(p, fb.kind);
+
           Rng rng(32);
           Deconv2d dc("d",
                       {5, 3, shape.kernel, shape.stride, shape.pad, true,
@@ -814,15 +828,6 @@ TEST(ImageParallelBackward, Deconv2dMatchesPerImagePasses) {
           Tensor out;
           dc.forward(in, out);
           const Tensor dout = random_input(out.shape(), 0xf0 + side + batch);
-
-          // The underlying convolution maps the deconv output (3 channels)
-          // onto its input (5 channels).
-          const std::size_t out_side =
-              (side - 1) * shape.stride + shape.kernel - 2 * shape.pad;
-          gemm::ConvProblem p = same_3x3(3, 5, out_side);
-          p.geom.kernel_h = p.geom.kernel_w = shape.kernel;
-          p.geom.stride_h = p.geom.stride_w = shape.stride;
-          p.geom.pad_h = p.geom.pad_w = shape.pad;
           const gemm::ConvBackendKind dkind =
               dc.phase_backend(in.shape(), ConvPhase::kForward);
           const gemm::ConvBackendKind fkind =
