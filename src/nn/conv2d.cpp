@@ -58,14 +58,6 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
   return cached.has_value() ? cached->kind : gemm::ConvBackendKind::kIm2col;
 }
 
-void check_forced_algo(const std::string& layer, ConvAlgo algo,
-                       std::size_t kernel, std::size_t stride) {
-  if (algo == ConvAlgo::kWinograd) {
-    PF15_CHECK_MSG(gemm::winograd_applicable(kernel, stride),
-                   layer << ": Winograd requires 3x3 stride-1");
-  }
-}
-
 void conv_backward_images(
     std::size_t n_img, std::size_t grad_elems, float* grad,
     const std::function<void(std::size_t img, float* partial)>& image) {
@@ -90,7 +82,10 @@ Conv2d::Conv2d(std::string name, const Conv2dConfig& cfg, Rng& rng)
       bias_grad_(bias_.shape()) {
   PF15_CHECK(cfg.in_channels > 0 && cfg.out_channels > 0 && cfg.kernel > 0 &&
              cfg.stride > 0);
-  check_forced_algo(name_, cfg.algo, cfg.kernel, cfg.stride);
+  if (cfg.algo == ConvAlgo::kWinograd) {
+    PF15_CHECK_MSG(gemm::winograd_applicable(cfg.kernel, cfg.stride),
+                   name_ << ": Winograd requires 3x3 stride-1");
+  }
   weight_.fill_he(rng, cfg.in_channels * cfg.kernel * cfg.kernel);
   bias_.zero();
 }

@@ -69,12 +69,6 @@ gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
                                            bool parallel_ok,
                                            std::size_t batch = 1);
 
-/// Refuses, at layer construction, a forced Winograd off 3x3 stride 1:
-/// an impossible forced backend is an error, not a silent downgrade to
-/// im2col. `layer` names the layer.
-void check_forced_algo(const std::string& layer, ConvAlgo algo,
-                       std::size_t kernel, std::size_t stride);
-
 /// The image loop of Conv2d and Deconv2d backward. Runs image(img,
 /// partial) for every img in [0, n_img) as tasks on the global scheduler;
 /// `partial` is that image's private zeroed buffer of `grad_elems` floats

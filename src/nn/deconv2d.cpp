@@ -2,6 +2,7 @@
 
 #include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
+#include "gemm/winograd.hpp"
 #include "nn/elementwise.hpp"
 
 namespace pf15::nn {
@@ -18,11 +19,14 @@ Deconv2d::Deconv2d(std::string name, const Deconv2dConfig& cfg, Rng& rng)
       bias_grad_(bias_.shape()) {
   PF15_CHECK(cfg.in_channels > 0 && cfg.out_channels > 0 && cfg.kernel > 0 &&
              cfg.stride > 0);
-  // Same construction-time semantics as Conv2d: a forced backend that
-  // can never run this geometry is refused loudly, not silently
-  // downgraded (the per-phase im2col fallback covers declined phases,
-  // not wholly inapplicable configurations).
-  check_forced_algo(name_, cfg.algo, cfg.kernel, cfg.stride);
+  if (cfg.algo == ConvAlgo::kWinograd) {
+    // Same construction-time semantics as Conv2d: a forced backend that
+    // can never run this geometry is refused loudly, not silently
+    // downgraded (the per-phase im2col fallback covers declined phases,
+    // not wholly inapplicable configurations).
+    PF15_CHECK_MSG(gemm::winograd_applicable(cfg.kernel, cfg.stride),
+                   name_ << ": Winograd requires 3x3 stride-1");
+  }
   // Fan-in of the adjoint convolution: each output pixel receives
   // contributions from ~OC * (K/stride)^2 taps; use the conv-style fan-in
   // of the transposed kernel for a comparable scale.
