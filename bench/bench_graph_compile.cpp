@@ -231,7 +231,6 @@ int main(int argc, char** argv) {
   }
 
   graph::CompileOptions copt;
-  copt.max_batch = batch;
 
   std::vector<ModelResult> results;
   std::size_t validate_findings = 0;

@@ -153,8 +153,7 @@ void BM_ConvBackendForward(benchmark::State& state) {
   for (auto& v : weight) v = rng.uniform(-0.5f, 0.5f);
   std::vector<float> out(p.out_c * p.geom.lowered_cols());
   for (auto _ : state) {
-    backend.forward(p, image.data(), weight.data(), nullptr, out.data(),
-                    /*parallel_ok=*/false);
+    backend.forward(p, image.data(), weight.data(), nullptr, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetLabel(backend.name());

@@ -111,7 +111,8 @@ class TaskScheduler {
   std::size_t size() const { return workers_.size(); }
 
   /// Process-wide scheduler sized to the machine. All kernel-internal
-  /// parallelism (GEMM, conv backends, the compiled executor) shares it.
+  /// parallelism (GEMM, the layers' image loops, the compiled executor)
+  /// shares it.
   static TaskScheduler& global();
 
   /// True when the calling thread is one of this scheduler's workers.

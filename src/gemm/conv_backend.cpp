@@ -88,12 +88,12 @@ bool ConvProblem::operator==(const ConvProblem& other) const {
 }
 
 void ConvBackend::backward_data(const ConvProblem&, const float*,
-                                const float*, float*, bool) const {
+                                const float*, float*) const {
   PF15_CHECK_MSG(false, name() << " declines the backward_data phase");
 }
 
 void ConvBackend::backward_filter(const ConvProblem&, const float*,
-                                  const float*, float*, bool) const {
+                                  const float*, float*) const {
   PF15_CHECK_MSG(false, name() << " declines the backward_filter phase");
 }
 
@@ -109,20 +109,6 @@ void add_bias(const float* bias, std::size_t out_c, std::size_t plane,
   }
 }
 
-/// One GEMM of a backend phase: fanned out on the scheduler when the
-/// caller permits it, strictly serial otherwise.
-void phase_sgemm(bool parallel_ok, bool trans_a, bool trans_b, std::size_t m,
-                 std::size_t n, std::size_t k, const float* a,
-                 std::size_t lda, const float* b, std::size_t ldb, float beta,
-                 float* c, std::size_t ldc) {
-  if (parallel_ok) {
-    sgemm_parallel(trans_a, trans_b, m, n, k, 1.0f, a, lda, b, ldb, beta, c,
-                   ldc);
-  } else {
-    sgemm(trans_a, trans_b, m, n, k, 1.0f, a, lda, b, ldb, beta, c, ldc);
-  }
-}
-
 // ---- im2col + GEMM ---------------------------------------------------------
 
 class Im2colBackend final : public ConvBackend {
@@ -134,38 +120,33 @@ class Im2colBackend final : public ConvBackend {
   }
 
   void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out,
-               bool parallel_ok) const override {
+               const float* bias, float* out) const override {
     const std::size_t m = p.out_c;
     const std::size_t n = p.geom.lowered_cols();
     const std::size_t k = p.geom.lowered_rows();
     ScratchLease col_lease(k * n);
     float* col = col_lease.data();
     im2col(p.geom, image, col);
-    phase_sgemm(parallel_ok, false, false, m, n, k, weight, k, col, n, 0.0f,
-                out, n);
+    sgemm(false, false, m, n, k, 1.0f, weight, k, col, n, 0.0f, out, n);
     add_bias(bias, m, n, out);
   }
 
   void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din,
-                     bool parallel_ok) const override {
+                     const float* weight, float* din) const override {
     const std::size_t m = p.out_c;
     const std::size_t n = p.geom.lowered_cols();
     const std::size_t k = p.geom.lowered_rows();
     ScratchLease dcol_lease(k * n);
     float* dcol = dcol_lease.data();
     // dcol = W^T (k x m) * dout (m x n); din = col2im(dcol).
-    phase_sgemm(parallel_ok, true, false, k, n, m, weight, k, dout, n, 0.0f,
-                dcol, n);
+    sgemm(true, false, k, n, m, 1.0f, weight, k, dout, n, 0.0f, dcol, n);
     std::memset(din, 0,
                 p.geom.in_c * p.geom.in_h * p.geom.in_w * sizeof(float));
     col2im(p.geom, dcol, din);
   }
 
   void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight,
-                       bool parallel_ok) const override {
+                       const float* dout, float* dweight) const override {
     const std::size_t m = p.out_c;
     const std::size_t n = p.geom.lowered_cols();
     const std::size_t k = p.geom.lowered_rows();
@@ -174,8 +155,7 @@ class Im2colBackend final : public ConvBackend {
     // dW += dout (m x n) * col^T (n x k); recompute col from the input
     // rather than caching it across the batch.
     im2col(p.geom, image, col);
-    phase_sgemm(parallel_ok, false, true, m, k, n, dout, n, col, n, 1.0f,
-                dweight, k);
+    sgemm(false, true, m, k, n, 1.0f, dout, n, col, n, 1.0f, dweight, k);
   }
 
   std::uint64_t flops(const ConvProblem& p, ConvPhase) const override {
@@ -226,12 +206,10 @@ class WinogradBackend final : public ConvBackend {
   }
 
   void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out,
-               bool parallel_ok) const override {
+               const float* bias, float* out) const override {
     winograd_conv3x3(image, p.geom.in_c, p.geom.in_h, p.geom.in_w, weight,
                      p.out_c, p.geom.pad_h, bias, out,
-                     winograd_pick_tile(p.geom.out_h(), p.geom.out_w()),
-                     parallel_ok);
+                     winograd_pick_tile(p.geom.out_h(), p.geom.out_w()));
   }
 
   std::unique_ptr<ConvPrep> prepare_forward(
@@ -247,21 +225,19 @@ class WinogradBackend final : public ConvBackend {
 
   void forward_prepared(const ConvProblem& p, const ConvPrep* prep,
                         const float* image, const float* weight,
-                        const float* bias, float* out,
-                        bool parallel_ok) const override {
+                        const float* bias, float* out) const override {
     if (prep == nullptr) {
-      forward(p, image, weight, bias, out, parallel_ok);
+      forward(p, image, weight, bias, out);
       return;
     }
     const auto& wp = static_cast<const Prep&>(*prep);
     winograd_conv3x3_pre(image, p.geom.in_c, p.geom.in_h, p.geom.in_w,
                          wp.u.data(), p.out_c, p.geom.pad_h, bias, out,
-                         wp.tile, parallel_ok);
+                         wp.tile);
   }
 
   void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din,
-                     bool parallel_ok) const override {
+                     const float* weight, float* din) const override {
     // din = dout * rot180(W)^T(channels): a stride-1 3x3 convolution of
     // the (OC, OH, OW) gradient at padding 2 - pad producing (C, H, W).
     const ConvGeom& g = p.geom;
@@ -272,7 +248,7 @@ class WinogradBackend final : public ConvBackend {
     rotate_swap_filters(weight, in_c, out_c, wt);
     winograd_conv3x3(dout, out_c, g.out_h(), g.out_w(), wt, in_c,
                      2 - g.pad_h, nullptr, din,
-                     winograd_pick_tile(g.in_h, g.in_w), parallel_ok);
+                     winograd_pick_tile(g.in_h, g.in_w));
   }
 
   std::unique_ptr<ConvPrep> prepare_backward_data(
@@ -295,26 +271,23 @@ class WinogradBackend final : public ConvBackend {
 
   void backward_data_prepared(const ConvProblem& p, const ConvPrep* prep,
                               const float* dout, const float* weight,
-                              float* din, bool parallel_ok) const override {
+                              float* din) const override {
     if (prep == nullptr) {
-      backward_data(p, dout, weight, din, parallel_ok);
+      backward_data(p, dout, weight, din);
       return;
     }
     const ConvGeom& g = p.geom;
     const auto& wp = static_cast<const Prep&>(*prep);
     winograd_conv3x3_pre(dout, p.out_c, g.out_h(), g.out_w(), wp.u.data(),
-                         g.in_c, 2 - g.pad_h, nullptr, din, wp.tile,
-                         parallel_ok);
+                         g.in_c, 2 - g.pad_h, nullptr, din, wp.tile);
   }
 
   void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight,
-                       bool parallel_ok) const override {
+                       const float* dout, float* dweight) const override {
     const ConvGeom& g = p.geom;
     winograd_backward_filter3x3(image, g.in_c, g.in_h, g.in_w, dout, p.out_c,
                                 g.pad_h, dweight,
-                                winograd_pick_tile(g.out_h(), g.out_w()),
-                                parallel_ok);
+                                winograd_pick_tile(g.out_h(), g.out_w()));
   }
 
   std::uint64_t flops(const ConvProblem& p, ConvPhase phase) const override {
@@ -351,8 +324,7 @@ class DirectBackend final : public ConvBackend {
   }
 
   void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out,
-               bool /*parallel_ok*/) const override {
+               const float* bias, float* out) const override {
     const ConvGeom& g = p.geom;
     const std::size_t oh = g.out_h();
     const std::size_t ow = g.out_w();
@@ -447,8 +419,7 @@ class DirectBackend final : public ConvBackend {
   }
 
   void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din,
-                     bool /*parallel_ok*/) const override {
+                     const float* weight, float* din) const override {
     const ConvGeom& g = p.geom;
     const std::size_t oh = g.out_h();
     const std::size_t ow = g.out_w();
@@ -491,8 +462,7 @@ class DirectBackend final : public ConvBackend {
   }
 
   void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight,
-                       bool /*parallel_ok*/) const override {
+                       const float* dout, float* dweight) const override {
     const ConvGeom& g = p.geom;
     const std::size_t oh = g.out_h();
     const std::size_t ow = g.out_w();
@@ -578,15 +548,13 @@ class SubpixelBackend final : public ConvBackend {
   }
 
   void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out,
-               bool parallel_ok) const override {
-    forward_prepared(p, nullptr, image, weight, bias, out, parallel_ok);
+               const float* bias, float* out) const override {
+    forward_prepared(p, nullptr, image, weight, bias, out);
   }
 
   void forward_prepared(const ConvProblem& p, const ConvPrep* prep,
                         const float* image, const float* weight,
-                        const float* bias, float* out,
-                        bool parallel_ok) const override {
+                        const float* bias, float* out) const override {
     // Y = col2im_t(W2^T · S2D(X)).
     std::unique_ptr<ConvPrep> own;
     const float* w2 = filters(p, prep, weight, own);
@@ -597,22 +565,21 @@ class SubpixelBackend final : public ConvBackend {
     ScratchLease s2d(k * n);
     space_to_depth(p.geom, image, s2d.data());
     ScratchLease col(m * n);
-    phase_sgemm(parallel_ok, true, false, m, n, k, w2, m, s2d.data(), n,
-                0.0f, col.data(), n);
+    sgemm(true, false, m, n, k, 1.0f, w2, m, s2d.data(), n, 0.0f, col.data(),
+          n);
     std::memset(out, 0, p.out_c * n * sizeof(float));
     col2im(low, col.data(), out);
     add_bias(bias, p.out_c, n, out);
   }
 
   void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din,
-                     bool parallel_ok) const override {
-    backward_data_prepared(p, nullptr, dout, weight, din, parallel_ok);
+                     const float* weight, float* din) const override {
+    backward_data_prepared(p, nullptr, dout, weight, din);
   }
 
   void backward_data_prepared(const ConvProblem& p, const ConvPrep* prep,
                               const float* dout, const float* weight,
-                              float* din, bool parallel_ok) const override {
+                              float* din) const override {
     // dX = D2S(W2 · im2col_t(dY)).
     std::unique_ptr<ConvPrep> own;
     const float* w2 = filters(p, prep, weight, own);
@@ -623,14 +590,13 @@ class SubpixelBackend final : public ConvBackend {
     ScratchLease col(k * n);
     im2col(low, dout, col.data());
     ScratchLease s2d(m * n);
-    phase_sgemm(parallel_ok, false, false, m, n, k, w2, k, col.data(), n,
-                0.0f, s2d.data(), n);
+    sgemm(false, false, m, n, k, 1.0f, w2, k, col.data(), n, 0.0f,
+          s2d.data(), n);
     depth_to_space(p.geom, s2d.data(), din);
   }
 
   void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight,
-                       bool parallel_ok) const override {
+                       const float* dout, float* dweight) const override {
     // dW += scatter(S2D(X) · im2col_t(dY)^T).
     const ConvGeom low = subpixel_low_geom(p.geom, p.out_c);
     const std::size_t m = p.geom.stride_h * p.geom.stride_h * p.geom.in_c;
@@ -641,8 +607,8 @@ class SubpixelBackend final : public ConvBackend {
     ScratchLease col(n * k);
     im2col(low, dout, col.data());
     ScratchLease dw2(m * n);
-    phase_sgemm(parallel_ok, false, true, m, n, k, s2d.data(), k,
-                col.data(), k, 0.0f, dw2.data(), n);
+    sgemm(false, true, m, n, k, 1.0f, s2d.data(), k, col.data(), k, 0.0f,
+          dw2.data(), n);
     subpixel_filters_accumulate(p.geom, p.out_c, dw2.data(), dweight);
   }
 
@@ -707,8 +673,7 @@ std::vector<const ConvBackend*> applicable_backends(const ConvProblem& p,
 }
 
 double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
-                         const AutotuneOptions& opt, ConvPhase phase,
-                         bool parallel_ok) {
+                         const AutotuneOptions& opt, ConvPhase phase) {
   PF15_CHECK_MSG(b.applicable(p, phase),
                  "benchmark_backend: " << b.name() << " not applicable to "
                                        << to_string(phase));
@@ -744,16 +709,13 @@ double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
   const auto run = [&] {
     switch (phase) {
       case ConvPhase::kForward:
-        b.forward(p, image.data(), weight.data(), bias.data(), result.data(),
-                  parallel_ok);
+        b.forward(p, image.data(), weight.data(), bias.data(), result.data());
         break;
       case ConvPhase::kBackwardData:
-        b.backward_data(p, dout.data(), weight.data(), result.data(),
-                        parallel_ok);
+        b.backward_data(p, dout.data(), weight.data(), result.data());
         break;
       case ConvPhase::kBackwardFilter:
-        b.backward_filter(p, image.data(), dout.data(), result.data(),
-                          parallel_ok);
+        b.backward_filter(p, image.data(), dout.data(), result.data());
         break;
     }
   };
@@ -770,11 +732,11 @@ double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
 }
 
 ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt,
-                  ConvPhase phase, bool parallel_ok) {
+                  ConvPhase phase) {
   const ConvBackend& reference = backend(ConvBackendKind::kIm2col);
   ConvPlan plan;
   plan.tuned = true;
-  plan.im2col_us = benchmark_backend(reference, p, opt, phase, parallel_ok);
+  plan.im2col_us = benchmark_backend(reference, p, opt, phase);
   plan.kind = ConvBackendKind::kIm2col;
   plan.best_us = plan.im2col_us;
   // Every applicable backend is timed. direct is timed even on large
@@ -784,7 +746,7 @@ ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt,
   // the arithmetic.
   for (const ConvBackend* b : applicable_backends(p, phase)) {
     if (b->kind() == ConvBackendKind::kIm2col) continue;
-    const double us = benchmark_backend(*b, p, opt, phase, parallel_ok);
+    const double us = benchmark_backend(*b, p, opt, phase);
     if (us < plan.best_us) {
       plan.best_us = us;
       plan.kind = b->kind();
@@ -852,8 +814,6 @@ struct GlobalConvPlanCache {
 struct StoredPlan {
   ConvProblem problem;
   ConvPhase phase = ConvPhase::kForward;
-  bool parallel_ok = false;
-  std::size_t batch = 1;  // bucket (power of two)
   ConvPlan plan;
 };
 
@@ -940,8 +900,6 @@ std::vector<StoredPlan> parse_plan_doc(const perf::Json& doc,
                      "'");
       }
       stored.phase = *phase;
-      stored.parallel_ok = entry.get("parallel_ok").as_bool();
-      stored.batch = conv_batch_bucket(field("batch"));
       const auto kind = parse_backend(entry.get("backend").as_string());
       if (!kind.has_value()) {
         throw reject("unknown backend '" + entry.get("backend").as_string() +
@@ -974,19 +932,6 @@ std::vector<StoredPlan> parse_plan_file(const std::string& path) {
 }
 
 }  // namespace
-
-std::size_t conv_batch_bucket(std::size_t n) {
-  if (n <= 1) return 1;
-  std::size_t bucket = 1;
-  while (bucket < n) {
-    // Saturate at the largest representable power of two: doubling again
-    // would wrap to 0 and loop forever on absurd n (e.g. a corrupted
-    // "batch" field in a plan-cache document).
-    if (bucket > std::numeric_limits<std::size_t>::max() / 2) return bucket;
-    bucket <<= 1;
-  }
-  return bucket;
-}
 
 ConvPlanCache& ConvPlanCache::global() {
   static GlobalConvPlanCache holder;
@@ -1027,12 +972,11 @@ CacheMetrics& cache_metrics() {
 
 }  // namespace
 
-ConvPlan ConvPlanCache::plan(const ConvProblem& p, ConvPhase phase,
-                             bool parallel_ok, std::size_t batch) {
-  const Key key{p, phase, parallel_ok, conv_batch_bucket(batch)};
+ConvPlan ConvPlanCache::plan(const ConvProblem& p, ConvPhase phase) {
+  const Key key{p, phase};
   UniqueLock lock(mutex_);
   for (;;) {
-    auto ov = overrides_.find(OverrideKey{p, phase});
+    auto ov = overrides_.find(key);
     if (ov != overrides_.end()) {
       ++hits_;
       cache_metrics().hits.add(1);
@@ -1066,11 +1010,10 @@ ConvPlan ConvPlanCache::plan(const ConvProblem& p, ConvPhase phase,
                   std::to_string(p.geom.in_h) + "x" +
                   std::to_string(p.geom.in_w) + "->" +
                   std::to_string(p.out_c) + " k" +
-                  std::to_string(p.geom.kernel_h) + " b" +
-                  std::to_string(conv_batch_bucket(batch))
+                  std::to_string(p.geom.kernel_h)
             : std::string(),
         "tune");
-    tuned = autotune(p, opt_, phase, parallel_ok);
+    tuned = autotune(p, opt_, phase);
   } catch (...) {
     lock.lock();
     tuning_.erase(key);
@@ -1084,19 +1027,18 @@ ConvPlan ConvPlanCache::plan(const ConvProblem& p, ConvPhase phase,
   tuning_cv_.notify_all();
   // An insert() that landed while we were timing is an operator override
   // and must win over the tuned result.
-  auto ov = overrides_.find(OverrideKey{p, phase});
+  auto ov = overrides_.find(key);
   if (ov != overrides_.end()) return ov->second;
   return plans_.find(key)->second;
 }
 
 std::optional<ConvPlan> ConvPlanCache::lookup(const ConvProblem& p,
-                                              ConvPhase phase,
-                                              bool parallel_ok,
-                                              std::size_t batch) const {
+                                              ConvPhase phase) const {
+  const Key key{p, phase};
   MutexLock lock(mutex_);
-  auto ov = overrides_.find(OverrideKey{p, phase});
+  auto ov = overrides_.find(key);
   if (ov != overrides_.end()) return ov->second;
-  auto it = plans_.find(Key{p, phase, parallel_ok, conv_batch_bucket(batch)});
+  auto it = plans_.find(key);
   if (it == plans_.end()) return std::nullopt;
   return it->second;
 }
@@ -1108,22 +1050,21 @@ void ConvPlanCache::insert(const ConvProblem& p, const ConvPlan& plan) {
 void ConvPlanCache::insert(const ConvProblem& p, ConvPhase phase,
                            const ConvPlan& plan) {
   MutexLock lock(mutex_);
-  overrides_[OverrideKey{p, phase}] = plan;
+  overrides_[Key{p, phase}] = plan;
 }
 
 namespace {
 
 /// Renders a set of keyed plans as the canonical cache document.
 perf::Json render_plan_doc(
-    const std::map<std::tuple<ConvProblem, ConvPhase, bool, std::size_t>,
-                   ConvPlan>& plans) {
+    const std::map<std::pair<ConvProblem, ConvPhase>, ConvPlan>& plans) {
   perf::Json doc = perf::Json::object();
   doc.set("format", kCacheFormat);
   doc.set("version", kConvPlanCacheVersion);
   doc.set("hardware", hardware_signature());
   perf::Json entries = perf::Json::array();
   for (const auto& [key, plan] : plans) {
-    const auto& [problem, phase, parallel_ok, batch] = key;
+    const auto& [problem, phase] = key;
     const ConvGeom& g = problem.geom;
     perf::Json entry = perf::Json::object();
     entry.set("in_c", g.in_c);
@@ -1137,8 +1078,6 @@ perf::Json render_plan_doc(
     entry.set("pad_w", g.pad_w);
     entry.set("out_c", problem.out_c);
     entry.set("phase", to_string(phase));
-    entry.set("parallel_ok", parallel_ok);
-    entry.set("batch", batch);
     entry.set("backend", to_string(plan.kind));
     entry.set("best_us", plan.best_us);
     entry.set("im2col_us", plan.im2col_us);
@@ -1162,7 +1101,7 @@ void ConvPlanCache::save(const std::string& path) const {
   if (std::filesystem::exists(path, ec)) {
     try {
       for (const StoredPlan& s : parse_plan_file(path)) {
-        merged[Key{s.problem, s.phase, s.parallel_ok, s.batch}] = s.plan;
+        merged[Key{s.problem, s.phase}] = s.plan;
       }
     } catch (const Error&) {
       // Unreadable or mismatched file: rewrite it from scratch below.
@@ -1208,7 +1147,7 @@ void ConvPlanCache::load(const std::string& path) {
   // emplace: entries already in memory win — they are this process's
   // freshest measurements (or explicit overrides).
   for (const StoredPlan& s : stored) {
-    plans_.emplace(Key{s.problem, s.phase, s.parallel_ok, s.batch}, s.plan);
+    plans_.emplace(Key{s.problem, s.phase}, s.plan);
   }
 }
 
@@ -1218,7 +1157,7 @@ void ConvPlanCache::load_document(const std::string& text,
       parse_plan_doc(perf::Json::parse(text), origin);
   MutexLock lock(mutex_);
   for (const StoredPlan& s : stored) {
-    plans_.emplace(Key{s.problem, s.phase, s.parallel_ok, s.batch}, s.plan);
+    plans_.emplace(Key{s.problem, s.phase}, s.plan);
   }
 }
 

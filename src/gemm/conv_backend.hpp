@@ -12,6 +12,11 @@
 // winner. Layers ask for a plan per phase instead of hardcoding a
 // lowering; benches and the tune::Space integration sweep the same table.
 //
+// Backends are serial: every entry point computes one image on the
+// calling thread and never fans out. Parallelism comes from the callers'
+// image loops (Conv2d/Deconv2d forward and backward, the compiled plan's
+// conv nodes), so a backend is timed, tuned and run the same way.
+//
 // Plans persist: ConvPlanCache has a versioned on-disk JSON format
 // (save/load with a header carrying the cache version and a hardware
 // signature), and the global cache auto-loads it at startup and writes it
@@ -27,7 +32,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -100,14 +104,8 @@ class ConvPrep {
 
 /// A convolution algorithm. Implementations are stateless and immutable
 /// after registration; per-call scratch lives in thread-local storage so
-/// one backend instance can serve a batch-parallel loop.
-///
-/// All entry points take `parallel_ok`: it permits internal fan-out on
-/// the global task scheduler. Nested waits are legal on the scheduler
-/// (waiting executes pending work), so parallel_ok=true is safe at any
-/// nesting depth; false forces a strictly serial call (tests,
-/// mode-controlled timing, and the per-image tasks of the conv/deconv
-/// backward pass).
+/// one backend instance can serve a batch-parallel loop. Every entry
+/// point runs serially on the calling thread.
 class ConvBackend {
  public:
   virtual ~ConvBackend() = default;
@@ -123,8 +121,8 @@ class ConvBackend {
   /// One image forward: image (C,H,W) -> out (OC,OH,OW), `bias` may be
   /// null.
   virtual void forward(const ConvProblem& p, const float* image,
-                       const float* weight, const float* bias, float* out,
-                       bool parallel_ok) const = 0;
+                       const float* weight, const float* bias,
+                       float* out) const = 0;
 
   /// Hoists weight-only work (filter transforms) out of a batch loop.
   /// Returns null when the backend has nothing to precompute — the
@@ -141,18 +139,16 @@ class ConvBackend {
   /// means "no prep"). The base implementation ignores prep.
   virtual void forward_prepared(const ConvProblem& p, const ConvPrep* prep,
                                 const float* image, const float* weight,
-                                const float* bias, float* out,
-                                bool parallel_ok) const {
+                                const float* bias, float* out) const {
     (void)prep;
-    forward(p, image, weight, bias, out, parallel_ok);
+    forward(p, image, weight, bias, out);
   }
 
   /// One image data gradient: dout (OC,OH,OW) and weight -> din (C,H,W).
   /// Overwrite semantics: the backend fully computes the din image.
   /// Only valid when applicable(p, kBackwardData).
   virtual void backward_data(const ConvProblem& p, const float* dout,
-                             const float* weight, float* din,
-                             bool parallel_ok) const;
+                             const float* weight, float* din) const;
 
   /// Hoists weight-only backward-data work out of a batch loop —
   /// Winograd's rotated/channel-transposed filter bank and its transform,
@@ -173,17 +169,16 @@ class ConvBackend {
   virtual void backward_data_prepared(const ConvProblem& p,
                                       const ConvPrep* prep,
                                       const float* dout, const float* weight,
-                                      float* din, bool parallel_ok) const {
+                                      float* din) const {
     (void)prep;
-    backward_data(p, dout, weight, din, parallel_ok);
+    backward_data(p, dout, weight, din);
   }
 
   /// One image filter gradient: image and dout -> dweight
   /// (OC,C,KH,KW), *accumulated* (+=) so a batch loop sums over images.
   /// Only valid when applicable(p, kBackwardFilter).
   virtual void backward_filter(const ConvProblem& p, const float* image,
-                               const float* dout, float* dweight,
-                               bool parallel_ok) const;
+                               const float* dout, float* dweight) const;
 
   /// Analytic per-image FLOP count for `phase` (§V accounting: one
   /// multiply-add is two FLOPs).
@@ -214,14 +209,11 @@ struct AutotuneOptions {
 };
 
 /// Measured per-image wall microseconds of `b` on `p` in `phase` (min
-/// over reps, deterministic synthetic operands). `parallel_ok` must match
-/// how the plan will execute: true lets the candidate fan out on the task
-/// scheduler (the hot-path mode — legal even beneath a batch-parallel
-/// loop, since nested waits help), false times it strictly serially.
+/// over reps, deterministic synthetic operands), run serially on the
+/// calling thread as the layers' image tasks run it.
 double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
                          const AutotuneOptions& opt = {},
-                         ConvPhase phase = ConvPhase::kForward,
-                         bool parallel_ok = false);
+                         ConvPhase phase = ConvPhase::kForward);
 
 /// The remembered winner for one (problem, phase).
 struct ConvPlan {
@@ -231,36 +223,28 @@ struct ConvPlan {
   bool tuned = false;      // true: micro-benchmarked; false: forced/default
 };
 
-/// Races every applicable backend on `p` in the given phase and execution
-/// mode and returns the fastest. im2col is always among the candidates,
-/// so the winner is never slower than the reference as measured.
+/// Races every applicable backend on `p` in the given phase and returns
+/// the fastest. im2col is always among the candidates, so the winner is
+/// never slower than the reference as measured.
 ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt = {},
-                  ConvPhase phase = ConvPhase::kForward,
-                  bool parallel_ok = false);
+                  ConvPhase phase = ConvPhase::kForward);
 
 /// On-disk plan-cache format version; bumped whenever the schema or the
 /// meaning of a field changes. Files with a different version are
 /// rejected (and re-tuned from scratch). v2 added the batch bucket;
 /// v3 added the SIMD tier ("isa") to the hardware signature; v4 dropped
 /// the "fft" backend; v5 added the "subpixel" candidate, so plans raced
-/// without it re-tune instead of pinning im2col on stride-2 deconvs.
-inline constexpr int kConvPlanCacheVersion = 5;
+/// without it re-tune instead of pinning im2col on stride-2 deconvs; v6
+/// dropped the execution-mode and batch-bucket keys, so plans timed with
+/// backend fan-out re-tune serially.
+inline constexpr int kConvPlanCacheVersion = 6;
 
-/// The power-of-two batch bucket a convolution executes under: 1 for
-/// single-image calls (n <= 1), otherwise the next power of two >= n.
-/// Plans are keyed per bucket, so a dynamic batcher's ragged last batches
-/// (e.g. 13 requests against a max_batch of 16) land in the full-batch
-/// bucket and reuse its plan instead of re-tuning per distinct N.
-std::size_t conv_batch_bucket(std::size_t n);
-
-/// Process-wide memo of autotune() results, keyed by
-/// (ConvProblem, phase, execution mode, batch bucket). Thread safe; the
-/// first thread to see a key pays the tuning cost *outside* the cache
-/// lock (an in-flight set dedupes concurrent first sights), so hits never
-/// wait behind a miss being tuned. insert() lets callers (tests, the
-/// tune::Space driver, operators forcing a layout) override a plan — the
-/// override applies to every execution mode and batch bucket of its
-/// (problem, phase).
+/// Process-wide memo of autotune() results, keyed by (ConvProblem,
+/// phase). Thread safe; the first thread to see a key pays the tuning
+/// cost *outside* the cache lock (an in-flight set dedupes concurrent
+/// first sights), so hits never wait behind a miss being tuned. insert()
+/// lets callers (tests, the tune::Space driver, operators forcing a
+/// layout) override a plan.
 ///
 /// save()/load() give the cache a versioned on-disk JSON format whose
 /// header records the format name, kConvPlanCacheVersion and a hardware
@@ -279,27 +263,17 @@ class ConvPlanCache {
   /// "off" or "0").
   static std::string persist_path();
 
-  /// The plan for `p` in `phase` executed with `parallel_ok` at batch
-  /// size `batch` (bucketed via conv_batch_bucket), tuning on first
-  /// sight. Backends are timed in the mode they will run in: the hot
-  /// paths use parallel_ok=true (candidates may fan out on the task
-  /// scheduler, legal at any nesting depth); parallel_ok=false decides
-  /// on strictly serial times and remains a distinct cache key for
-  /// tests and mode-controlled timing.
-  ConvPlan plan(const ConvProblem& p, ConvPhase phase = ConvPhase::kForward,
-                bool parallel_ok = false, std::size_t batch = 1);
+  /// The plan for `p` in `phase`, tuning on first sight. autotune()
+  /// times one image, so the batch a layer runs never enters the key.
+  ConvPlan plan(const ConvProblem& p, ConvPhase phase = ConvPhase::kForward);
 
   /// The cached plan, if any — never tunes.
   std::optional<ConvPlan> lookup(const ConvProblem& p,
-                                 ConvPhase phase = ConvPhase::kForward,
-                                 bool parallel_ok = false,
-                                 std::size_t batch = 1) const;
+                                 ConvPhase phase = ConvPhase::kForward) const;
 
-  /// Forces the forward plan for `p`: an override states "use this
-  /// backend" independent of how the layer batches, so it applies to both
-  /// execution modes and every batch bucket.
+  /// Forces the forward plan for `p`.
   void insert(const ConvProblem& p, const ConvPlan& plan);
-  /// Per-phase override, same mode/bucket-independent semantics.
+  /// Forces the plan for `p` in `phase`.
   void insert(const ConvProblem& p, ConvPhase phase, const ConvPlan& plan);
 
   /// Writes every *tuned* cached plan to `path` (atomically: temp file +
@@ -340,15 +314,13 @@ class ConvPlanCache {
   const AutotuneOptions& options() const { return opt_; }
 
  private:
-  using Key = std::tuple<ConvProblem, ConvPhase, bool, std::size_t>;
-  using OverrideKey = std::pair<ConvProblem, ConvPhase>;
+  using Key = std::pair<ConvProblem, ConvPhase>;
 
   mutable Mutex mutex_;
   CondVar tuning_cv_;
   std::map<Key, ConvPlan> plans_ PF15_GUARDED_BY(mutex_);
-  /// insert() overrides, consulted before plans_: one entry covers every
-  /// (mode, bucket) of its (problem, phase).
-  std::map<OverrideKey, ConvPlan> overrides_ PF15_GUARDED_BY(mutex_);
+  /// insert() overrides, consulted before plans_ and never persisted.
+  std::map<Key, ConvPlan> overrides_ PF15_GUARDED_BY(mutex_);
   /// Keys being autotuned right now.
   std::set<Key> tuning_ PF15_GUARDED_BY(mutex_);
   AutotuneOptions opt_;

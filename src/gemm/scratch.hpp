@@ -4,8 +4,8 @@
 // (lowered matrices, transform-domain tiles) comes from a thread-local
 // pool of float buffers. A plain `thread_local std::vector` — the
 // pre-scheduler design — is NOT safe any more: waits on the
-// work-stealing scheduler are help-first, so a kernel that fans out and
-// waits (Winograd's transform-domain GEMMs, a parallel im2col GEMM) can
+// work-stealing scheduler are help-first, so code that holds a buffer
+// across a wait (the conv backward pass's per-image filter partials) can
 // execute *another* task nested on the same thread, and if that task
 // grabbed the same thread_local vector it would resize the buffer out
 // from under the suspended caller. ScratchLease checks a buffer *out*

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/errors.hpp"
-#include "common/task_scheduler.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/scratch.hpp"
 #include "gemm/simd.hpp"
@@ -287,19 +286,6 @@ void transform_inputs(const float* image, std::size_t in_c, std::size_t h,
   }
 }
 
-/// The P transform-domain GEMMs, optionally fanned out on the task
-/// scheduler (safe under a batch-parallel loop: nested waits help).
-template <typename Fn>
-void for_each_position(int positions, bool parallel_ok, const Fn& fn) {
-  if (parallel_ok) {
-    TaskScheduler::global().parallel_for(
-        0, static_cast<std::size_t>(positions),
-        [&](std::size_t k) { fn(static_cast<int>(k)); });
-  } else {
-    for (int k = 0; k < positions; ++k) fn(k);
-  }
-}
-
 /// `weight` xor `u_pre`: when `u_pre` is non-null it is the caller's
 /// pre-transformed filter bank (shared read-only across a batch) and the
 /// raw weights are not touched.
@@ -307,16 +293,13 @@ template <int M>
 void wino_forward(const float* image, std::size_t in_c, std::size_t h,
                   std::size_t w, const float* weight, const float* u_pre,
                   std::size_t out_c, std::size_t pad, const float* bias,
-                  float* output, bool parallel_ok) {
+                  float* output) {
   constexpr int T = Traits<M>::kT;
   constexpr int P = T * T;
   constexpr std::size_t B = kWinoBlock;
   PF15_CHECK(in_c > 0 && out_c > 0);
   const TileGrid tg = tile_grid<M>(h, w, pad);
 
-  // Leased, not thread_local: v and m stay live across the fanned-out
-  // GEMM wait below, and helping tasks on this thread must not touch
-  // them (see scratch.hpp).
   ScratchLease u_lease(u_pre == nullptr
                            ? static_cast<std::size_t>(P) * out_c * in_c
                            : 0);
@@ -333,12 +316,12 @@ void wino_forward(const float* image, std::size_t in_c, std::size_t h,
   transform_inputs<M>(image, in_c, h, w, pad, tg, v);
 
   // M[k] = U[k] (out_c x in_c) * V[k] (in_c x tiles).
-  for_each_position(P, parallel_ok, [&](int k) {
+  for (int k = 0; k < P; ++k) {
     sgemm(false, false, out_c, tg.tiles, in_c, 1.0f,
           u + static_cast<std::size_t>(k) * out_c * in_c, in_c,
           v + static_cast<std::size_t>(k) * in_c * tg.tiles, tg.tiles, 0.0f,
           m + static_cast<std::size_t>(k) * out_c * tg.tiles, tg.tiles);
-  });
+  }
 
   // Inverse transform + scatter (crop ragged edges). The gather over k is
   // unit-stride in the tile index, so blocks load contiguously.
@@ -378,8 +361,8 @@ void wino_forward(const float* image, std::size_t in_c, std::size_t h,
 template <int M>
 void wino_backward_filter(const float* image, std::size_t in_c,
                           std::size_t h, std::size_t w, const float* dout,
-                          std::size_t out_c, std::size_t pad, float* dweight,
-                          bool parallel_ok) {
+                          std::size_t out_c, std::size_t pad,
+                          float* dweight) {
   constexpr int T = Traits<M>::kT;
   constexpr int P = T * T;
   constexpr std::size_t B = kWinoBlock;
@@ -432,12 +415,12 @@ void wino_backward_filter(const float* image, std::size_t in_c,
   }
 
   // dU[k] (out_c x in_c) = dM[k] (out_c x tiles) * V[k]^T (tiles x in_c).
-  for_each_position(P, parallel_ok, [&](int k) {
+  for (int k = 0; k < P; ++k) {
     sgemm(false, true, out_c, in_c, tg.tiles, 1.0f,
           dyt + static_cast<std::size_t>(k) * out_c * tg.tiles, tg.tiles,
           v + static_cast<std::size_t>(k) * in_c * tg.tiles, tg.tiles, 0.0f,
           du + static_cast<std::size_t>(k) * out_c * in_c, in_c);
-  });
+  }
 
   // dg += G^T dU G per filter.
   const std::size_t uk = out_c * in_c;
@@ -457,13 +440,13 @@ void wino_backward_filter(const float* image, std::size_t in_c,
 void winograd_conv3x3(const float* image, std::size_t in_c, std::size_t h,
                       std::size_t w, const float* weight, std::size_t out_c,
                       std::size_t pad, const float* bias, float* output,
-                      WinogradTile tile, bool parallel_ok) {
+                      WinogradTile tile) {
   if (tile == WinogradTile::kF4x4) {
     wino_forward<4>(image, in_c, h, w, weight, nullptr, out_c, pad, bias,
-                    output, parallel_ok);
+                    output);
   } else {
     wino_forward<2>(image, in_c, h, w, weight, nullptr, out_c, pad, bias,
-                    output, parallel_ok);
+                    output);
   }
 }
 
@@ -491,14 +474,12 @@ void winograd_conv3x3_pre(const float* image, std::size_t in_c,
                           std::size_t h, std::size_t w, const float* u,
                           std::size_t out_c, std::size_t pad,
                           const float* bias, float* output,
-                          WinogradTile tile, bool parallel_ok) {
+                          WinogradTile tile) {
   PF15_CHECK(u != nullptr);
   if (tile == WinogradTile::kF4x4) {
-    wino_forward<4>(image, in_c, h, w, nullptr, u, out_c, pad, bias, output,
-                    parallel_ok);
+    wino_forward<4>(image, in_c, h, w, nullptr, u, out_c, pad, bias, output);
   } else {
-    wino_forward<2>(image, in_c, h, w, nullptr, u, out_c, pad, bias, output,
-                    parallel_ok);
+    wino_forward<2>(image, in_c, h, w, nullptr, u, out_c, pad, bias, output);
   }
 }
 
@@ -506,13 +487,11 @@ void winograd_backward_filter3x3(const float* image, std::size_t in_c,
                                  std::size_t h, std::size_t w,
                                  const float* dout, std::size_t out_c,
                                  std::size_t pad, float* dweight,
-                                 WinogradTile tile, bool parallel_ok) {
+                                 WinogradTile tile) {
   if (tile == WinogradTile::kF4x4) {
-    wino_backward_filter<4>(image, in_c, h, w, dout, out_c, pad, dweight,
-                            parallel_ok);
+    wino_backward_filter<4>(image, in_c, h, w, dout, out_c, pad, dweight);
   } else {
-    wino_backward_filter<2>(image, in_c, h, w, dout, out_c, pad, dweight,
-                            parallel_ok);
+    wino_backward_filter<2>(image, in_c, h, w, dout, out_c, pad, dweight);
   }
 }
 

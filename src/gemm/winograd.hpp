@@ -12,7 +12,8 @@
 // (OC x IC) x (IC x tiles) GEMMs, which is how production libraries
 // implement it. Transforms process tiles in blocks of kWinoBlock laid out
 // structure-of-arrays, so the transform arithmetic runs over contiguous
-// lanes and auto-vectorizes.
+// lanes and auto-vectorizes. Every kernel computes one image serially on
+// the calling thread; callers parallelize over images.
 //
 // Training support: the filter gradient has its own transform-domain
 // kernel (dg = G^T [(A dY A^T) ⊙ (B^T d B)] G, accumulated over tiles);
@@ -49,16 +50,12 @@ WinogradTile winograd_pick_tile(std::size_t out_h, std::size_t out_w);
 ///   output(OC, OH, OW) = weight(OC, IC, 3, 3) * image(IC, H, W), `pad`
 /// zeros on each border, stride 1, OH = H + 2*pad - 2, OW likewise.
 /// `bias` may be null. Ragged right/bottom edges are handled by padding
-/// the tile grid internally. `parallel_ok` permits the transform-domain
-/// GEMMs to fan out on the global task scheduler — legal at any nesting
-/// depth (the scheduler's waits help); false keeps the call strictly
-/// serial (tests and mode-controlled timing).
+/// the tile grid internally.
 void winograd_conv3x3(const float* image, std::size_t in_c, std::size_t h,
                       std::size_t w, const float* weight,
                       std::size_t out_c, std::size_t pad,
                       const float* bias, float* output,
-                      WinogradTile tile = WinogradTile::kF2x2,
-                      bool parallel_ok = false);
+                      WinogradTile tile = WinogradTile::kF2x2);
 
 /// Floats in the transformed filter bank U for the given tile: T*T
 /// transform positions of an (out_c x in_c) matrix each.
@@ -82,8 +79,7 @@ void winograd_conv3x3_pre(const float* image, std::size_t in_c,
                           std::size_t h, std::size_t w, const float* u,
                           std::size_t out_c, std::size_t pad,
                           const float* bias, float* output,
-                          WinogradTile tile = WinogradTile::kF2x2,
-                          bool parallel_ok = false);
+                          WinogradTile tile = WinogradTile::kF2x2);
 
 /// Filter gradient in the transform domain, accumulated (+=) into
 /// `dweight` (OC, IC, 3, 3): image (IC, H, W) is the layer input, dout
@@ -93,8 +89,7 @@ void winograd_backward_filter3x3(const float* image, std::size_t in_c,
                                  std::size_t h, std::size_t w,
                                  const float* dout, std::size_t out_c,
                                  std::size_t pad, float* dweight,
-                                 WinogradTile tile = WinogradTile::kF2x2,
-                                 bool parallel_ok = false);
+                                 WinogradTile tile = WinogradTile::kF2x2);
 
 /// Multiplies in the transform domain for a given geometry — used for
 /// flop accounting and the direct-vs-Winograd ablation. Counts one

@@ -102,7 +102,7 @@ CompiledPlan::CompiledPlan(Graph graph, const CompileOptions& opt)
   if (opt.pretune) {
     WallTimer pretune_timer;
     obs::TraceSpan span("pretune", "compile");
-    pretune_convs(std::max<std::size_t>(1, opt.max_batch));
+    pretune_convs();
     report_.pretune_seconds = pretune_timer.seconds();
   }
   report_.compile_seconds = compile_timer.seconds();
@@ -157,10 +157,9 @@ void CompiledPlan::build_schedule(bool parallel_levels) {
   }
 }
 
-void CompiledPlan::pretune_convs(std::size_t max_batch) {
+void CompiledPlan::pretune_convs() {
   gemm::ConvPlanCache& cache = gemm::ConvPlanCache::global();
   const std::uint64_t misses_before = cache.misses();
-  const std::size_t top = gemm::conv_batch_bucket(max_batch);
   for (std::size_t i = 0; i < graph_.nodes.size(); ++i) {
     const OpNode& node = graph_.nodes[i];
     gemm::ConvPhase phase = gemm::ConvPhase::kForward;
@@ -170,13 +169,8 @@ void CompiledPlan::pretune_convs(std::size_t max_batch) {
       continue;
     }
     if (node.algo != nn::ConvAlgo::kAuto) continue;  // forced: no tuning
-    // Every batch bucket the plan will serve. One execution mode exists
-    // now — backends may always fan out (parallel_ok=true), nested
-    // waits being legal — so the bucket is the whole key.
-    for (std::size_t bucket = 1; bucket <= top; bucket <<= 1) {
-      cache.plan(node.problem, phase, /*parallel_ok=*/true, bucket);
-      ++report_.pretuned_plans;
-    }
+    cache.plan(node.problem, phase);
+    ++report_.pretuned_plans;
   }
   report_.pretune_misses =
       static_cast<std::size_t>(cache.misses() - misses_before);
@@ -220,8 +214,7 @@ const std::vector<Tensor>& CompiledPlan::run_all(const Tensor& input) {
   // level the nodes are independent by construction; a wide level spawns
   // one task per node with a TaskSync continuation barrier — wait()
   // executes pending work, so each node task is free to fan its batch
-  // across per-image child tasks and each conv backend to fan out
-  // beneath that (node×batch×kernel product parallelism).
+  // across per-image child tasks (node×batch product parallelism).
   //
   // Under PF15_TRACE every level and every node gets a span: wide-level
   // imbalance (one straggler node pinning the barrier) and serial opaque
@@ -270,41 +263,23 @@ const std::vector<Tensor>& CompiledPlan::run_all(const Tensor& input) {
   return outputs_;
 }
 
-std::pair<const gemm::ConvBackend*, const gemm::ConvPrep*>
-CompiledPlan::conv_dispatch(std::size_t id, gemm::ConvPhase phase,
-                            std::size_t batch) {
-  const OpNode& node = graph_.nodes[id];
+const CompiledPlan::ConvDispatch& CompiledPlan::conv_dispatch(
+    std::size_t id, gemm::ConvPhase phase) {
   ConvDispatch& d = dispatch_[id];
-  const std::size_t key = gemm::conv_batch_bucket(batch);
-  auto kind_it = d.kind_by_bucket.find(key);
-  if (kind_it == d.kind_by_bucket.end()) {
-    // First sight of this bucket: one plan-cache resolution, frozen for
-    // the plan's lifetime (its weights are frozen clones, and a compiled
-    // plan deliberately keeps the backends it was born with).
-    kind_it =
-        d.kind_by_bucket
-            .emplace(key, nn::resolve_conv_backend(node.algo, node.problem,
-                                                   phase,
-                                                   /*parallel_ok=*/true,
-                                                   batch))
-            .first;
-  }
-  const gemm::ConvBackend& be = gemm::backend(kind_it->second);
-  auto prep_it = d.prep.find(kind_it->second);
-  if (prep_it == d.prep.end()) {
-    // A node runs exactly one phase (conv: forward, deconv:
-    // backward-data), so the per-kind prep is unambiguous.
-    prep_it =
-        d.prep
-            .emplace(kind_it->second,
-                     phase == gemm::ConvPhase::kForward
-                         ? be.prepare_forward(node.problem,
+  if (d.backend == nullptr) {
+    // First run: one plan-cache resolution and one weight transform,
+    // frozen for the plan's lifetime (its weights are frozen clones, and
+    // a compiled plan deliberately keeps the backend it was born with).
+    const OpNode& node = graph_.nodes[id];
+    d.backend = &gemm::backend(
+        nn::resolve_conv_backend(node.algo, node.problem, phase));
+    d.prep = phase == gemm::ConvPhase::kForward
+                 ? d.backend->prepare_forward(node.problem,
                                               node.weight.data())
-                         : be.prepare_backward_data(node.problem,
-                                                    node.weight.data()))
-            .first;
+                 : d.backend->prepare_backward_data(node.problem,
+                                                    node.weight.data());
   }
-  return {&be, prep_it->second.get()};
+  return d;
 }
 
 const Tensor& CompiledPlan::run(const Tensor& input) {
@@ -334,21 +309,19 @@ void CompiledPlan::execute_node(std::size_t id, const Tensor& input,
       const gemm::ConvProblem& p = node.problem;
       // Backend and prepared weight transform (Winograd's U) come from
       // the frozen per-node memo: no plan-cache lock, no per-run filter
-      // transform after first sight. A batch fans its images across the
-      // scheduler as child tasks (legal even inside a wide-level node
-      // task — the barrier wait helps), and the backend may fan out
-      // further beneath each image.
-      const std::pair<const gemm::ConvBackend*, const gemm::ConvPrep*>
-          dispatch = conv_dispatch(id, gemm::ConvPhase::kForward, batch);
+      // transform after the first run. A batch fans its images across
+      // the scheduler as child tasks (legal even inside a wide-level node
+      // task — the barrier wait helps); the backend runs each serially.
+      const ConvDispatch& dispatch =
+          conv_dispatch(id, gemm::ConvPhase::kForward);
       const float* bias = node.bias.defined() ? node.bias.data() : nullptr;
       const std::size_t in_img = p.geom.in_c * p.geom.in_h * p.geom.in_w;
       const std::size_t out_img = p.out_c * p.geom.lowered_cols();
       const auto one_image = [&](std::size_t img) {
         float* out = dst + img * out_img;
-        dispatch.first->forward_prepared(p, dispatch.second,
-                                         src + img * in_img,
-                                         node.weight.data(), bias, out,
-                                         /*parallel_ok=*/true);
+        dispatch.backend->forward_prepared(p, dispatch.prep.get(),
+                                           src + img * in_img,
+                                           node.weight.data(), bias, out);
         apply_epilogue(node.epilogue, out, out_img);
       };
       if (batch <= 1) {
@@ -360,21 +333,19 @@ void CompiledPlan::execute_node(std::size_t id, const Tensor& input,
     }
     case OpKind::kDeconv: {
       const gemm::ConvProblem& p = node.problem;
-      // The rotated/transformed filter bank is prepared once per backend
+      // The rotated/transformed filter bank is prepared once per plan
       // (prepare_backward_data), not per image.
-      const std::pair<const gemm::ConvBackend*, const gemm::ConvPrep*>
-          dispatch =
-              conv_dispatch(id, gemm::ConvPhase::kBackwardData, batch);
+      const ConvDispatch& dispatch =
+          conv_dispatch(id, gemm::ConvPhase::kBackwardData);
       const std::size_t in_img = node.in_sample.numel();
       const std::size_t out_img = node.out_sample.numel();
       const std::size_t out_c = node.out_sample[0];
       const std::size_t plane = p.geom.in_h * p.geom.in_w;
       const auto one_image = [&](std::size_t img) {
         float* out = dst + img * out_img;
-        dispatch.first->backward_data_prepared(p, dispatch.second,
-                                               src + img * in_img,
-                                               node.weight.data(), out,
-                                               /*parallel_ok=*/true);
+        dispatch.backend->backward_data_prepared(p, dispatch.prep.get(),
+                                                 src + img * in_img,
+                                                 node.weight.data(), out);
         if (node.bias.defined()) {
           for (std::size_t oc = 0; oc < out_c; ++oc) {
             const float b = node.bias.at(oc);

@@ -5,12 +5,11 @@
 // BatchNorm into conv/dense weights, fuse activation epilogues — now
 // *inside* residual sub-graphs too, including the skip-add's trailing
 // ReLU fusing into the join), plans the activation arena (arena.hpp),
-// and — the "born warm" property — pre-tunes every convolution geometry
-// through the process-wide gemm::ConvPlanCache for every batch bucket
-// the plan will serve, so the first real request already dispatches to
-// measured backend winners and the tuned plans persist across processes
-// via $PF15_CONV_PLAN_CACHE and plan-carrying checkpoints
-// (serve/checkpoint.hpp).
+// and — the "born warm" property — pre-tunes every convolution node's
+// (problem, phase) through the process-wide gemm::ConvPlanCache, so the
+// first real request already dispatches to measured backend winners and
+// the tuned plans persist across processes via $PF15_CONV_PLAN_CACHE and
+// plan-carrying checkpoints (serve/checkpoint.hpp).
 //
 // run() is the execute-many side: every intermediate activation lives at
 // a fixed offset in one shared arena (per-sample offsets scale linearly
@@ -26,9 +25,9 @@
 // projection) they fan out as tasks on common::task_scheduler. Nesting
 // is legal on the scheduler, so node×batch product parallelism falls
 // out: each node task fans its batch across per-image child tasks, and
-// each conv backend may fan out further beneath (Winograd
-// transform-domain GEMMs, parallel im2col) — parallel_ok=true all the
-// way down. Per-level barriers keep the schedule deterministic: every
+// each conv backend computes its image serially inside that task, so a
+// plan on a private scheduler spawns no conv work on the global one.
+// Per-level barriers keep the schedule deterministic: every
 // node reads fully-written buffers regardless of how its level was
 // scheduled, and every node runs arithmetic identical to the serial
 // schedule (bit-exact outputs either way).
@@ -43,7 +42,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -71,12 +69,12 @@ struct CompileOptions {
   /// TaskScheduler::global(); the threads-sweep bench passes local
   /// schedulers of fixed width. The scheduler must outlive the plan.
   TaskScheduler* scheduler = nullptr;
-  /// Pre-tune every conv geometry through gemm::ConvPlanCache::global()
-  /// at construction (for batch buckets 1 .. bucket(max_batch)).
+  /// Pre-tune every kAuto conv/deconv node's (problem, phase) through
+  /// gemm::ConvPlanCache::global() at construction.
   bool pretune = true;
-  /// Largest batch the plan will be asked to run — the serving engine
-  /// passes its batcher's max_batch. Larger batches still execute
-  /// correctly; they just may pay a first-sight tune.
+  /// Unused by tuning and execution: conv plans do not depend on the
+  /// batch, and run() accepts any batch. Kept only so callers that still
+  /// set it compile; it is slated for removal.
   std::size_t max_batch = 1;
 };
 
@@ -97,8 +95,9 @@ struct CompileReport {
   /// floats). arena < eager is the planner's reuse win.
   std::size_t arena_floats_per_sample = 0;
   std::size_t eager_floats_per_sample = 0;
-  /// Plan-cache queries issued by pre-tuning, and how many of them had to
-  /// tune from scratch (0 = the plan was born fully warm).
+  /// Plan-cache queries issued by pre-tuning (one per kAuto conv/deconv
+  /// node), and how many of them had to tune from scratch (0 = the plan
+  /// was born fully warm).
   std::size_t pretuned_plans = 0;
   std::size_t pretune_misses = 0;
   /// Wall time of compilation, and of the pretune stage within it. These
@@ -141,20 +140,17 @@ class CompiledPlan {
 
  private:
   /// Frozen dispatch state of one conv/deconv node. A compiled plan's
-  /// weights never change, so the backend choice per batch bucket and
-  /// the backend's prepared weight transform (Winograd's U, forward or
-  /// backward-data) are resolved once and reused — run() never touches
-  /// the plan-cache mutex or recomputes a filter transform after first
-  /// sight. Nested waits are legal on the scheduler, so every plan is
-  /// resolved with parallel_ok=true (no serial execution mode exists
-  /// any more); the bucket is the whole key.
+  /// weights never change, so the backend and its prepared weight
+  /// transform (Winograd's U, forward or backward-data; sub-pixel's W2)
+  /// are resolved on the first run and reused — later runs never touch
+  /// the plan-cache mutex or recompute a filter transform.
   struct ConvDispatch {
-    std::map<std::size_t, gemm::ConvBackendKind> kind_by_bucket;
-    std::map<gemm::ConvBackendKind, std::unique_ptr<gemm::ConvPrep>> prep;
+    const gemm::ConvBackend* backend = nullptr;
+    std::unique_ptr<gemm::ConvPrep> prep;
   };
 
   void build_schedule(bool parallel_levels);
-  void pretune_convs(std::size_t max_batch);
+  void pretune_convs();
   /// The scheduler the plan executes on (CompileOptions::scheduler, or
   /// the global one).
   TaskScheduler& sched() const;
@@ -163,10 +159,10 @@ class CompiledPlan {
   /// depth, including inside a wide-level node task.
   void execute_node(std::size_t id, const Tensor& input,
                     std::size_t batch);
-  /// The (backend, prep) pair node `id` dispatches to at `batch`,
-  /// memoized in dispatch_[id].
-  std::pair<const gemm::ConvBackend*, const gemm::ConvPrep*>
-  conv_dispatch(std::size_t id, gemm::ConvPhase phase, std::size_t batch);
+  /// The backend and prep node `id` dispatches to, memoized in
+  /// dispatch_[id]. A node runs exactly one phase (conv: forward,
+  /// deconv: backward-data).
+  const ConvDispatch& conv_dispatch(std::size_t id, gemm::ConvPhase phase);
   /// Read pointer for edge `e` (resolving split aliases; kGraphInput
   /// reads the run input).
   const float* edge_data(int e, const Tensor& input, std::size_t batch);

@@ -14,9 +14,7 @@ using gemm::ConvPhase;
 
 gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
-                                           ConvPhase phase,
-                                           bool parallel_ok,
-                                           std::size_t batch) {
+                                           ConvPhase phase) {
   gemm::ConvBackendKind forced = gemm::ConvBackendKind::kIm2col;
   switch (algo) {
     case ConvAlgo::kIm2col:
@@ -28,12 +26,10 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
       forced = gemm::ConvBackendKind::kDirect;
       break;
     case ConvAlgo::kAuto:
-      // kAuto: every applicable backend races once per (problem, phase,
-      // execution mode, batch bucket) and the measured winner is
-      // remembered — across processes, through the persisted plan cache.
-      return gemm::ConvPlanCache::global()
-          .plan(p, phase, parallel_ok, batch)
-          .kind;
+      // kAuto: every applicable backend races once per (problem, phase)
+      // and the measured winner is remembered — across processes,
+      // through the persisted plan cache.
+      return gemm::ConvPlanCache::global().plan(p, phase).kind;
   }
   // A forced backend that declines this phase (Winograd backward-data at
   // pad > 2) falls back to the always-applicable im2col adjoint; the
@@ -47,14 +43,9 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
 
 gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
-                                           ConvPhase phase,
-                                           bool parallel_ok,
-                                           std::size_t batch) {
-  if (algo != ConvAlgo::kAuto) {
-    return resolve_conv_backend(algo, p, phase, parallel_ok, batch);
-  }
-  const auto cached =
-      gemm::ConvPlanCache::global().lookup(p, phase, parallel_ok, batch);
+                                           ConvPhase phase) {
+  if (algo != ConvAlgo::kAuto) return resolve_conv_backend(algo, p, phase);
+  const auto cached = gemm::ConvPlanCache::global().lookup(p, phase);
   return cached.has_value() ? cached->kind : gemm::ConvBackendKind::kIm2col;
 }
 
@@ -113,25 +104,14 @@ gemm::ConvProblem Conv2d::problem(const Shape& in) const {
   return p;
 }
 
-gemm::ConvBackendKind Conv2d::resolve_backend(const Shape& in,
-                                              ConvPhase phase,
-                                              bool parallel_ok) const {
-  return resolve_conv_backend(cfg_.algo, problem(in), phase, parallel_ok,
-                              in.n());
-}
-
 gemm::ConvBackendKind Conv2d::forward_backend(const Shape& in) const {
-  // Nested waits are legal on the task scheduler, so backends may fan
-  // out internally even under the batch-parallel loop.
-  return resolve_backend(in, ConvPhase::kForward, /*parallel_ok=*/true);
+  return resolve_conv_backend(cfg_.algo, problem(in), ConvPhase::kForward);
 }
 
 gemm::ConvBackendKind Conv2d::backward_backend(const Shape& in,
                                                ConvPhase phase) const {
   PF15_CHECK(phase != ConvPhase::kForward);
-  // Looked up under the parallel_ok=true key although backward() runs
-  // the backend serially inside each image task.
-  return resolve_backend(in, phase, /*parallel_ok=*/true);
+  return resolve_conv_backend(cfg_.algo, problem(in), phase);
 }
 
 Shape Conv2d::output_shape(const Shape& in) const {
@@ -158,12 +138,10 @@ void Conv2d::forward(const Tensor& in, Tensor& out) {
   const std::unique_ptr<gemm::ConvPrep> prep =
       be.prepare_forward(p, weight_.data());
   // Per-image work (lowering, transforms, per-image GEMM) spreads across
-  // the scheduler; each image's backend may fan out further beneath it
-  // (nested waits are legal — the outer chunks' wait helps).
+  // the scheduler, one serial backend call per image.
   TaskScheduler::global().parallel_for(0, n_img, [&](std::size_t img) {
     be.forward_prepared(p, prep.get(), in.data() + img * in_img,
-                        weight_.data(), bias, out.data() + img * out_img,
-                        /*parallel_ok=*/true);
+                        weight_.data(), bias, out.data() + img * out_img);
   });
 }
 
@@ -211,12 +189,10 @@ void Conv2d::run_backward(const Tensor& in, const Tensor& dout,
           dbe->backward_data_prepared(p, dprep.get(),
                                       dout.data() + img * out_img,
                                       weight_.data(),
-                                      din->data() + img * in_img,
-                                      /*parallel_ok=*/false);
+                                      din->data() + img * in_img);
         }
         fbe.backward_filter(p, in.data() + img * in_img,
-                            dout.data() + img * out_img, partial,
-                            /*parallel_ok=*/false);
+                            dout.data() + img * out_img, partial);
       });
   // Bias gradient: independent per channel, so channels fan out while
   // each keeps the serial image order.
@@ -235,8 +211,8 @@ std::vector<Param> Conv2d::params() {
 
 std::uint64_t Conv2d::forward_flops(const Shape& in) const {
   const gemm::ConvProblem p = problem(in);
-  const gemm::ConvBackendKind kind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kForward, /*parallel_ok=*/true, in.n());
+  const gemm::ConvBackendKind kind =
+      planned_conv_backend(cfg_.algo, p, ConvPhase::kForward);
   const gemm::ConvBackend& be = gemm::backend(kind);
   return in.n() * (be.flops(p) +
                    (cfg_.bias ? p.geom.lowered_cols() * cfg_.out_channels
@@ -245,9 +221,8 @@ std::uint64_t Conv2d::forward_flops(const Shape& in) const {
 
 std::uint64_t Conv2d::backward_flops(const Shape& in) const {
   const gemm::ConvProblem p = problem(in);
-  const gemm::ConvBackendKind dkind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kBackwardData, /*parallel_ok=*/true,
-      in.n());
+  const gemm::ConvBackendKind dkind =
+      planned_conv_backend(cfg_.algo, p, ConvPhase::kBackwardData);
   return gemm::backend(dkind).flops(p, ConvPhase::kBackwardData) * in.n() +
          filter_flops(in);
 }
@@ -258,9 +233,8 @@ std::uint64_t Conv2d::backward_params_flops(const Shape& in) const {
 
 std::uint64_t Conv2d::filter_flops(const Shape& in) const {
   const gemm::ConvProblem p = problem(in);
-  const gemm::ConvBackendKind fkind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kBackwardFilter, /*parallel_ok=*/true,
-      in.n());
+  const gemm::ConvBackendKind fkind =
+      planned_conv_backend(cfg_.algo, p, ConvPhase::kBackwardFilter);
   const std::uint64_t per_img =
       gemm::backend(fkind).flops(p, ConvPhase::kBackwardFilter) +
       (cfg_.bias ? p.geom.lowered_cols() * cfg_.out_channels : 0);

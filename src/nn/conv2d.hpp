@@ -9,11 +9,11 @@
 // remembers the winner — forward, backward-data and backward-filter tune
 // independently (the cuDNN per-op-phase model), so training inherits the
 // measured backend wins, not just inference. Both passes fan their
-// images across the global task scheduler. Forward backends may fan out
-// further beneath each image (nested waits are legal on the scheduler).
-// Backward runs each image's data and filter gradient serially in one
-// task, the filter gradient into a per-image partial that is added onto
-// the weight gradient in image order.
+// images across the global task scheduler; that image loop is the only
+// fan-out, since every backend runs one image serially. Backward runs
+// each image's data and filter gradient in one task, the filter gradient
+// into a per-image partial that is added onto the weight gradient in
+// image order.
 #pragma once
 
 #include <functional>
@@ -50,14 +50,10 @@ struct Conv2dConfig {
 /// dispatches convolution phases (Conv2d, Deconv2d): a forced algo wins
 /// when it supports the phase, falls back to the im2col adjoint when it
 /// declines it (Winograd backward-data at pad > 2), and kAuto asks the
-/// global plan cache — tuning on first sight in the given execution mode
-/// and batch bucket (gemm::conv_batch_bucket of the layer's batch
-/// dimension).
+/// global plan cache — tuning on first sight.
 gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
-                                           gemm::ConvPhase phase,
-                                           bool parallel_ok,
-                                           std::size_t batch = 1);
+                                           gemm::ConvPhase phase);
 
 /// Like resolve_conv_backend but guaranteed never to tune: kAuto
 /// consults the plan cache and assumes the im2col reference for shapes
@@ -65,19 +61,14 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
 /// arithmetic query.
 gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
-                                           gemm::ConvPhase phase,
-                                           bool parallel_ok,
-                                           std::size_t batch = 1);
+                                           gemm::ConvPhase phase);
 
 /// The image loop of Conv2d and Deconv2d backward. Runs image(img,
 /// partial) for every img in [0, n_img) as tasks on the global scheduler;
 /// `partial` is that image's private zeroed buffer of `grad_elems` floats
 /// for its filter gradient. The partials are then added onto `grad` in
 /// image order (accumulate_image_partials), so the result is
-/// bit-identical for any scheduler width. `image` should call its
-/// backends with parallel_ok=false: the images already fill the workers,
-/// and nested fan-out would stack another image's scratch leases on each
-/// helping thread.
+/// bit-identical for any scheduler width.
 void conv_backward_images(
     std::size_t n_img, std::size_t grad_elems, float* grad,
     const std::function<void(std::size_t img, float* partial)>& image);
@@ -128,11 +119,6 @@ class Conv2d final : public Layer {
  private:
   gemm::ConvGeom geom(const Shape& in) const;
   gemm::ConvProblem problem(const Shape& in) const;
-  /// Resolves cfg_.algo / the plan cache for one phase. `parallel_ok`
-  /// selects the execution mode the plan must be tuned in.
-  gemm::ConvBackendKind resolve_backend(const Shape& in,
-                                        gemm::ConvPhase phase,
-                                        bool parallel_ok) const;
   /// backward() with the data pass, or — when `din` is null — without.
   void run_backward(const Tensor& in, const Tensor& dout, Tensor* din);
   /// Filter-gradient FLOPs of one batch (+ bias), without the data pass.

@@ -58,19 +58,9 @@ gemm::ConvProblem Deconv2d::problem(const Shape& in) const {
   return p;
 }
 
-gemm::ConvBackendKind Deconv2d::resolve_backend(const Shape& in,
-                                                ConvPhase phase,
-                                                bool parallel_ok) const {
-  return resolve_conv_backend(cfg_.algo, problem(in), phase, parallel_ok,
-                              in.n());
-}
-
 gemm::ConvBackendKind Deconv2d::phase_backend(const Shape& in,
                                               ConvPhase phase) const {
-  // Every phase looks its plan up under the parallel_ok=true key;
-  // forward() lets the backend fan out, backward() runs it serially per
-  // image.
-  return resolve_backend(in, phase, /*parallel_ok=*/true);
+  return resolve_conv_backend(cfg_.algo, problem(in), phase);
 }
 
 Shape Deconv2d::output_shape(const Shape& in) const {
@@ -97,8 +87,7 @@ void Deconv2d::forward(const Tensor& in, Tensor& out) {
       be.prepare_backward_data(p, weight_.data());
   const auto one_image = [&](std::size_t img) {
     be.backward_data_prepared(p, prep.get(), in.data() + img * in_img,
-                              weight_.data(), out.data() + img * out_img,
-                              /*parallel_ok=*/true);
+                              weight_.data(), out.data() + img * out_img);
     if (cfg_.bias) {
       float* dst = out.data() + img * out_img;
       const std::size_t plane = p.geom.in_h * p.geom.in_w;
@@ -109,8 +98,7 @@ void Deconv2d::forward(const Tensor& in, Tensor& out) {
       }
     }
   };
-  // Images fan across the scheduler; each backend may fan out further
-  // beneath its image (nested waits are legal).
+  // Images fan across the scheduler, one serial backend call each.
   TaskScheduler::global().parallel_for(
       0, n_img, [&](std::size_t img) { one_image(img); });
 }
@@ -142,11 +130,9 @@ void Deconv2d::backward(const Tensor& in, const Tensor& dout, Tensor& din) {
       [&](std::size_t img, float* partial) {
         dbe.forward_prepared(p, dprep.get(), dout.data() + img * out_img,
                              weight_.data(), nullptr,
-                             din.data() + img * in_img,
-                             /*parallel_ok=*/false);
+                             din.data() + img * in_img);
         fbe.backward_filter(p, dout.data() + img * out_img,
-                            in.data() + img * in_img, partial,
-                            /*parallel_ok=*/false);
+                            in.data() + img * in_img, partial);
       });
   // Bias gradient: channels fan out, each in serial image order.
   if (cfg_.bias) {
@@ -165,8 +151,8 @@ std::vector<Param> Deconv2d::params() {
 
 std::uint64_t Deconv2d::forward_flops(const Shape& in) const {
   const gemm::ConvProblem p = problem(in);
-  const gemm::ConvBackendKind kind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kBackwardData, true, in.n());
+  const gemm::ConvBackendKind kind =
+      planned_conv_backend(cfg_.algo, p, ConvPhase::kBackwardData);
   const std::uint64_t per_img =
       gemm::backend(kind).flops(p, ConvPhase::kBackwardData) +
       (cfg_.bias ? cfg_.out_channels * p.geom.in_h * p.geom.in_w : 0);
@@ -175,10 +161,10 @@ std::uint64_t Deconv2d::forward_flops(const Shape& in) const {
 
 std::uint64_t Deconv2d::backward_flops(const Shape& in) const {
   const gemm::ConvProblem p = problem(in);
-  const gemm::ConvBackendKind dkind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kForward, true, in.n());
-  const gemm::ConvBackendKind fkind = planned_conv_backend(
-      cfg_.algo, p, ConvPhase::kBackwardFilter, true, in.n());
+  const gemm::ConvBackendKind dkind =
+      planned_conv_backend(cfg_.algo, p, ConvPhase::kForward);
+  const gemm::ConvBackendKind fkind =
+      planned_conv_backend(cfg_.algo, p, ConvPhase::kBackwardFilter);
   const std::uint64_t per_img =
       gemm::backend(dkind).flops(p, ConvPhase::kForward) +
       gemm::backend(fkind).flops(p, ConvPhase::kBackwardFilter) +

@@ -12,7 +12,9 @@
 // decoder inherits every tuned backend win instead of carrying a private
 // im2col lowering. The decoder's 6x6/2 pad-2 deconvolutions also race
 // the sub-pixel backend (gemm/subpixel.hpp), which lowers only the
-// low-resolution side of each phase.
+// low-resolution side of each phase. As in Conv2d, both passes fan their
+// images across the global task scheduler and every backend runs one
+// image serially.
 #pragma once
 
 #include <string>
@@ -62,9 +64,6 @@ class Deconv2d final : public Layer {
   /// output: out_h = (in_h - 1) * stride + kernel - 2 * pad.
   gemm::ConvGeom geom(const Shape& in) const;
   gemm::ConvProblem problem(const Shape& in) const;
-  gemm::ConvBackendKind resolve_backend(const Shape& in,
-                                        gemm::ConvPhase phase,
-                                        bool parallel_ok) const;
 
   std::string name_;
   Deconv2dConfig cfg_;

@@ -109,12 +109,10 @@ void ServingEngine::init_replicas(const ModelFactory& factory,
 
   for (auto& r : replicas_) r.set_training(false);
   if (cfg_.compiled) {
-    graph::CompileOptions copt;
-    copt.max_batch = cfg_.batcher.max_batch;
     plans_.reserve(replicas_.size());
     for (auto& r : replicas_) {
       plans_.push_back(std::make_unique<graph::CompiledPlan>(
-          graph::compile(r, cfg_.sample_shape, copt)));
+          graph::compile(r, cfg_.sample_shape)));
     }
   }
   output_sample_shape_ =

@@ -8,9 +8,8 @@
 namespace pf15::testing {
 
 /// Inserts a `kind` override for every phase of `p` into
-/// gemm::ConvPlanCache::global(); an override covers every execution mode
-/// and batch bucket. The destructor clears the global cache, so no pinned
-/// plan outlives the test.
+/// gemm::ConvPlanCache::global(). The destructor clears the global cache,
+/// so no pinned plan outlives the test.
 class PinnedConvPlans {
  public:
   PinnedConvPlans(const gemm::ConvProblem& p, gemm::ConvBackendKind kind) {

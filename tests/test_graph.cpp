@@ -11,10 +11,13 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "check_failure.hpp"
 #include "common/rng.hpp"
+#include "common/task_scheduler.hpp"
 #include "gemm/conv_backend.hpp"
 #include "graph/arena.hpp"
 #include "graph/compiled_plan.hpp"
@@ -545,9 +548,7 @@ TEST(ArenaPlanner, ValueConsumedByBranchAndJoinDiesAtTheJoin) {
   // Executable semantics: out = tanh(relu(x)) + relu(x), exercised
   // through the compiled executor (split aliasing + two-input join),
   // across batch sizes — the per-sample offsets must scale.
-  graph::CompileOptions opt;
-  opt.max_batch = 4;
-  graph::CompiledPlan plan2(std::move(g), opt);
+  graph::CompiledPlan plan2(std::move(g), graph::CompileOptions{});
   for (const std::size_t batch : {1u, 3u, 4u}) {
     const Tensor input =
         random_input(with_batch(sample, batch), 0xd1a + batch);
@@ -583,9 +584,7 @@ TEST(ArenaPlanner, ResidualGraphReusesBranchSlotsAcrossBlocks) {
 TEST(CompiledPlan, MatchesEagerHepIncludingRaggedBatches) {
   nn::Sequential net = nn::build_hep_network(nn::HepConfig::tiny());
   net.set_training(false);
-  graph::CompileOptions opt;
-  opt.max_batch = 8;
-  graph::CompiledPlan plan = graph::compile(net, Shape{3, 32, 32}, opt);
+  graph::CompiledPlan plan = graph::compile(net, Shape{3, 32, 32});
   EXPECT_EQ(plan.report().passes.fused_activations, 3u);
   EXPECT_LT(plan.report().arena_floats_per_sample,
             plan.report().eager_floats_per_sample);
@@ -608,9 +607,7 @@ TEST(CompiledPlan, MatchesEagerResNetWithSubGraphCapture) {
   cfg.blocks_per_stage = 2;
   cfg.batchnorm = true;
   nn::Sequential net = trained_resnet(cfg, Shape{3, 16, 16}, 0x9e5);
-  graph::CompileOptions opt;
-  opt.max_batch = 8;
-  graph::CompiledPlan plan = graph::compile(net, Shape{3, 16, 16}, opt);
+  graph::CompiledPlan plan = graph::compile(net, Shape{3, 16, 16});
   EXPECT_EQ(plan.report().passes.residual_folded_batchnorms, 8u);
   EXPECT_EQ(plan.report().passes.fused_joins, 4u);
   // Stage-2's first block runs branch conv1 and the projection at the
@@ -630,9 +627,7 @@ TEST(CompiledPlan, MatchesEagerResNetWithSubGraphCapture) {
 TEST(CompiledPlan, MatchesEagerClimateAllFiveOutputs) {
   nn::ClimateNet net(nn::ClimateConfig::tiny());
   net.set_training(false);
-  graph::CompileOptions opt;
-  opt.max_batch = 2;
-  graph::CompiledPlan plan = graph::compile(net, opt);
+  graph::CompiledPlan plan = graph::compile(net);
   // The four heads and the decoder's first deconv share a level.
   EXPECT_GE(plan.report().max_level_width, 5u);
   const Tensor input = random_input(Shape{2, 4, 32, 32}, 0xc11);
@@ -656,7 +651,6 @@ TEST(CompiledPlan, MatchesEagerClimateAllFiveOutputs) {
 void expect_parallel_bit_exact(nn::Sequential& net, const Shape& sample,
                                std::uint64_t seed) {
   graph::CompileOptions parallel_opt;
-  parallel_opt.max_batch = 4;
   graph::CompileOptions serial_opt = parallel_opt;
   serial_opt.parallel_levels = false;
   graph::CompiledPlan parallel_plan =
@@ -696,7 +690,6 @@ TEST(CompiledPlan, ParallelExecutorMatchesSerialBitExactClimate) {
   nn::ClimateNet net(nn::ClimateConfig::tiny());
   net.set_training(false);
   graph::CompileOptions parallel_opt;
-  parallel_opt.max_batch = 4;
   graph::CompileOptions serial_opt = parallel_opt;
   serial_opt.parallel_levels = false;
   graph::CompiledPlan parallel_plan = graph::compile(net, parallel_opt);
@@ -775,9 +768,7 @@ TEST(CompiledPlan, OpaqueLayerJoinsWideLevelOnlyWhenItOptsIn) {
     const int join = make(graph::OpKind::kAdd, "join", {b, c});
     g.outputs.push_back(join);
 
-    graph::CompileOptions opt;
-    opt.max_batch = 2;
-    graph::CompiledPlan plan(std::move(g), opt);
+    graph::CompiledPlan plan(std::move(g), graph::CompileOptions{});
     EXPECT_EQ(plan.report().wide_level_nodes, opts_in ? 2u : 0u)
         << "opts_in=" << opts_in;
     const Tensor input = random_input(with_batch(sample, 2), 0x0a9);
@@ -826,9 +817,7 @@ TEST(CompiledPlan, DeconvChainMatchesEager) {
   net.add(std::make_unique<nn::Deconv2d>("up", dc, rng));
   net.add(std::make_unique<nn::ReLU>("r"));
   net.set_training(false);
-  graph::CompileOptions opt;
-  opt.max_batch = 3;
-  graph::CompiledPlan plan = graph::compile(net, Shape{4, 8, 8}, opt);
+  graph::CompiledPlan plan = graph::compile(net, Shape{4, 8, 8});
   EXPECT_EQ(plan.report().passes.fused_activations, 1u);
   const Tensor input = random_input(Shape{3, 4, 8, 8}, 0xf);
   EXPECT_LE(max_rel_diff(plan.run(input), net.forward(input)), 1e-4);
@@ -848,9 +837,7 @@ TEST(CompiledPlan, SharedPoolAndReluKernelsMatchEagerBitExact) {
     if (with_gap) net.add(std::make_unique<nn::GlobalAvgPool>("gap"));
     net.set_training(false);
     const Shape sample{8, 67, 65};
-    graph::CompileOptions opt;
-    opt.max_batch = 16;
-    graph::CompiledPlan plan = graph::compile(net, sample, opt);
+    graph::CompiledPlan plan = graph::compile(net, sample);
     for (const std::size_t batch : {1u, 16u}) {
       const Tensor input =
           random_input(with_batch(sample, batch), 0x5a + batch);
@@ -871,14 +858,87 @@ TEST(CompiledPlan, SecondPlanIsBornWarm) {
   // hits — the born-warm contract.
   nn::Sequential net = nn::build_hep_network(nn::HepConfig::tiny());
   net.set_training(false);
-  graph::CompileOptions opt;
-  opt.max_batch = 4;
-  graph::CompiledPlan first = graph::compile(net, Shape{3, 32, 32}, opt);
+  graph::CompiledPlan first = graph::compile(net, Shape{3, 32, 32});
   EXPECT_GT(first.report().pretuned_plans, 0u);
-  graph::CompiledPlan second = graph::compile(net, Shape{3, 32, 32}, opt);
+  graph::CompiledPlan second = graph::compile(net, Shape{3, 32, 32});
   EXPECT_EQ(second.report().pretuned_plans,
             first.report().pretuned_plans);
   EXPECT_EQ(second.report().pretune_misses, 0u);
+}
+
+TEST(CompiledPlan, TunesOnePlanPerConvNodeAtAnyBatch) {
+  // Plans are keyed by (problem, phase): a cold compile tunes each
+  // distinct pair of its kAuto conv/deconv nodes once, whatever max_batch
+  // says, and runs at any batch reuse those plans.
+  gemm::ConvPlanCache& cache = gemm::ConvPlanCache::global();
+  cache.clear();
+  nn::ClimateNet net(nn::ClimateConfig::tiny());
+  net.set_training(false);
+  graph::CompileOptions opt;
+  opt.max_batch = 16;
+  graph::CompiledPlan plan = graph::compile(net, opt);
+  std::set<std::pair<gemm::ConvProblem, gemm::ConvPhase>> pairs;
+  std::size_t conv_nodes = 0;
+  for (const graph::OpNode& node : plan.graph().nodes) {
+    if (node.algo != nn::ConvAlgo::kAuto) continue;
+    if (node.kind == graph::OpKind::kConv) {
+      pairs.emplace(node.problem, gemm::ConvPhase::kForward);
+    } else if (node.kind == graph::OpKind::kDeconv) {
+      pairs.emplace(node.problem, gemm::ConvPhase::kBackwardData);
+    } else {
+      continue;
+    }
+    ++conv_nodes;
+  }
+  ASSERT_GT(conv_nodes, 0u);
+  EXPECT_EQ(plan.report().pretuned_plans, conv_nodes);
+  EXPECT_EQ(plan.report().pretune_misses, pairs.size());
+  EXPECT_EQ(cache.misses(), pairs.size());
+  for (const std::size_t batch : {1u, 3u, 16u}) {
+    plan.run_all(random_input(Shape{batch, 4, 32, 32}, 0xb0 + batch));
+  }
+  EXPECT_EQ(cache.misses(), pairs.size());
+  cache.clear();
+}
+
+TEST(CompiledPlan, PrivateSchedulerPlanSpawnsNothingOnTheGlobalOne) {
+  // Conv backends run serially inside the plan's image tasks, so a plan
+  // on a 1-worker private scheduler leaves the global scheduler idle —
+  // even under Winograd, whose position GEMMs once fanned out there.
+  const nn::HepConfig cfg = nn::HepConfig::tiny();
+  nn::Sequential net = nn::build_hep_network(cfg);
+  net.set_training(false);
+  gemm::ConvPlan winograd;
+  winograd.kind = gemm::ConvBackendKind::kWinograd;
+  std::size_t in_c = cfg.channels;
+  for (std::size_t side = cfg.image; side > cfg.image >> cfg.conv_units;
+       side /= 2) {
+    gemm::ConvProblem p;
+    p.geom.in_c = in_c;
+    p.geom.in_h = p.geom.in_w = side;
+    p.geom.kernel_h = p.geom.kernel_w = 3;
+    p.geom.pad_h = p.geom.pad_w = 1;
+    p.out_c = cfg.filters;
+    gemm::ConvPlanCache::global().insert(p, winograd);
+    in_c = cfg.filters;
+  }
+  TaskScheduler one_worker(1);
+  graph::CompileOptions opt;
+  opt.scheduler = &one_worker;
+  graph::CompiledPlan private_plan =
+      graph::compile(net, Shape{3, 32, 32}, opt);
+  graph::CompiledPlan global_plan = graph::compile(net, Shape{3, 32, 32});
+  EXPECT_EQ(gemm::ConvPlanCache::global().misses(), 0u);
+  const Tensor input = random_input(Shape{8, 3, 32, 32}, 0x1e0);
+
+  const std::uint64_t spawned = TaskScheduler::global().stats().spawned;
+  const Tensor got = private_plan.run(input).clone();
+  EXPECT_EQ(TaskScheduler::global().stats().spawned, spawned);
+  const Tensor& want = global_plan.run(input);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)),
+            0);
+  gemm::ConvPlanCache::global().clear();
 }
 
 }  // namespace

@@ -168,13 +168,9 @@ TEST(TrainableModels, HepStepNeverPlansConv1DataGradient) {
   const gemm::ConvProblem conv1 = problem(cfg.channels, cfg.image);
   const gemm::ConvProblem conv2 = problem(cfg.filters, cfg.image / 2);
   using gemm::ConvPhase;
-  EXPECT_FALSE(
-      cache.lookup(conv1, ConvPhase::kBackwardData, true, batch).has_value());
-  EXPECT_TRUE(
-      cache.lookup(conv1, ConvPhase::kBackwardFilter, true, batch)
-          .has_value());
-  EXPECT_TRUE(
-      cache.lookup(conv2, ConvPhase::kBackwardData, true, batch).has_value());
+  EXPECT_FALSE(cache.lookup(conv1, ConvPhase::kBackwardData).has_value());
+  EXPECT_TRUE(cache.lookup(conv1, ConvPhase::kBackwardFilter).has_value());
+  EXPECT_TRUE(cache.lookup(conv2, ConvPhase::kBackwardData).has_value());
 }
 
 TEST(HybridTrainer, ValidatesGroupDivisibility) {

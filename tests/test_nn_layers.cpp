@@ -643,7 +643,7 @@ TEST(BitExact, ImagePartialsPropagateNanAndInfinity) {
 // image's data gradient, then its filter gradient into a zeroed partial,
 // and the partials are folded onto the weight gradient in image order.
 // Each layer is checked against the backends it resolved, called image
-// by image with parallel_ok=true as the serial loops called them.
+// by image.
 
 /// Filter-gradient tolerance against the old serial accumulation,
 /// relative to the largest gradient element. The old loop added every
@@ -769,13 +769,11 @@ TEST(ImageParallelBackward, Conv2dMatchesPerImagePasses) {
         passes.in_img = in_img;
         passes.data = [&](std::size_t img, float* din) {
           dbe.backward_data_prepared(p, dprep.get(),
-                                     dout.data() + img * out_img, w, din,
-                                     /*parallel_ok=*/true);
+                                     dout.data() + img * out_img, w, din);
         };
         passes.filter = [&](std::size_t img, float* dweight) {
           fbe.backward_filter(p, in.data() + img * in_img,
-                              dout.data() + img * out_img, dweight,
-                              /*parallel_ok=*/true);
+                              dout.data() + img * out_img, dweight);
         };
         check_image_parallel_backward(conv, in, dout, passes);
         EXPECT_EQ(conv.last_backward_filter_backend(), fb.kind);
@@ -842,13 +840,11 @@ TEST(ImageParallelBackward, Deconv2dMatchesPerImagePasses) {
           ImagePasses passes;
           passes.in_img = in_img;
           passes.data = [&](std::size_t img, float* din) {
-            dbe.forward(p, dout.data() + img * out_img, w, nullptr, din,
-                        /*parallel_ok=*/true);
+            dbe.forward(p, dout.data() + img * out_img, w, nullptr, din);
           };
           passes.filter = [&](std::size_t img, float* dweight) {
             fbe.backward_filter(p, dout.data() + img * out_img,
-                                in.data() + img * in_img, dweight,
-                                /*parallel_ok=*/true);
+                                in.data() + img * in_img, dweight);
           };
           check_image_parallel_backward(dc, in, dout, passes);
         }

@@ -771,10 +771,7 @@ TEST(CompiledServing, CheckpointCarriesPlansForColdWarmStart) {
   // the global cache) and ship weights + plans in one checkpoint.
   nn::Sequential trained = factory();
   trained.set_training(false);
-  graph::CompileOptions copt;
-  copt.max_batch = kMaxBatch;
-  const graph::CompiledPlan plan =
-      graph::compile(trained, Shape{3, 32, 32}, copt);
+  const graph::CompiledPlan plan = graph::compile(trained, Shape{3, 32, 32});
   EXPECT_GT(plan.report().pretuned_plans, 0u);
   const std::string path = "test_serve_warm_ckpt.bin";
   serve::checkpoint_model_file_with_plans(path, trained, "hep",
@@ -809,9 +806,10 @@ TEST(CompiledServing, CheckpointCarriesPlansForColdWarmStart) {
   std::remove(path.c_str());
 }
 
-/// A plan document written by hand the way an older process wrote it:
-/// this host's hardware signature and one forward entry for the first
-/// conv of the tiny HEP net (3 -> 8 channels, 3x3, 32 px).
+/// A plan document written by hand the way a process at format `version`
+/// wrote it: this host's hardware signature and one forward entry for the
+/// first conv of the tiny HEP net (3 -> 8 channels, 3x3, 32 px). Writers
+/// before version 6 also stored the execution mode and batch bucket.
 std::string handwritten_plan_doc(int version, const char* backend) {
   std::ostringstream doc;
   doc << "{\"format\": \"pf15.conv_plan_cache\", \"version\": " << version
@@ -821,53 +819,63 @@ std::string handwritten_plan_doc(int version, const char* backend) {
       << gemm::simd_isa_string() << "\"}, \"plans\": [{\"in_c\": 3, "
       << "\"in_h\": 32, \"in_w\": 32, \"kernel_h\": 3, \"kernel_w\": 3, "
       << "\"stride_h\": 1, \"stride_w\": 1, \"pad_h\": 1, \"pad_w\": 1, "
-      << "\"out_c\": 8, \"phase\": \"forward\", \"parallel_ok\": true, "
-      << "\"batch\": 8, \"backend\": \"" << backend << "\", "
+      << "\"out_c\": 8, \"phase\": \"forward\", "
+      << (version < 6 ? "\"parallel_ok\": true, \"batch\": 8, " : "")
+      << "\"backend\": \"" << backend << "\", "
       << "\"best_us\": 10, \"im2col_us\": 20, \"tuned\": true}]}";
   return doc.str();
 }
 
 TEST(CompiledServing, VersionThreePlanSectionIsIgnoredAndRetuned) {
-  // Every plan-carrying checkpoint written before the format moved to
-  // version 4 takes this path: the embedded section fails the version
-  // check, the engine logs that it ignores it, tunes from scratch and
-  // still serves correct results.
+  // Every plan-carrying checkpoint written at an older format version
+  // takes this path — version 3 (may name "fft") and version 5 (plans
+  // keyed by execution mode and batch bucket): the embedded section fails
+  // the version check, the engine logs that it ignores it, tunes from
+  // scratch and still serves correct results.
   const nn::HepConfig net_cfg = nn::HepConfig::tiny();  // kAuto
   auto factory = [&] { return nn::build_hep_network(net_cfg); };
-  nn::Sequential trained = factory();
-  const std::string path = "test_serve_v3_plans_ckpt.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    serve::checkpoint_model(out, trained, "hep");
-    serve::write_embedded_plans(out, handwritten_plan_doc(3, "fft"));
-  }
-
-  gemm::ConvPlanCache::global().clear();
-  serve::EngineConfig cfg = tiny_engine_config(2, 8);
-  cfg.compiled = true;
-  serve::ServingEngine engine(factory, path, "hep", cfg);
-  ASSERT_NE(engine.compile_report(), nullptr);
-  EXPECT_GT(engine.compile_report()->pretune_misses, 0u);
-
-  nn::Sequential reference = factory();
-  serve::restore_model_file(path, reference, "hep");
-  reference.set_training(false);
-  Rng rng(37);
-  for (int i = 0; i < 4; ++i) {
-    Tensor sample(Shape{3, 32, 32});
-    sample.fill_uniform(rng, -1.0f, 1.0f);
-    Tensor got = engine.submit(sample).get();
-    Tensor single = stack_samples({&sample});
-    const Tensor& want = reference.forward(single);
-    ASSERT_EQ(got.numel(), want.numel());
-    for (std::size_t j = 0; j < got.numel(); ++j) {
-      const double tol =
-          1e-4 * (1.0 + std::abs(static_cast<double>(want.at(j))));
-      EXPECT_NEAR(got.at(j), want.at(j), tol) << "request " << i;
+  const struct {
+    int version;
+    const char* backend;
+  } sections[] = {{3, "fft"}, {5, "im2col"}};
+  for (const auto& section : sections) {
+    SCOPED_TRACE("version " + std::to_string(section.version));
+    nn::Sequential trained = factory();
+    const std::string path = "test_serve_old_plans_ckpt.bin";
+    {
+      std::ofstream out(path, std::ios::binary);
+      serve::checkpoint_model(out, trained, "hep");
+      serve::write_embedded_plans(
+          out, handwritten_plan_doc(section.version, section.backend));
     }
+
+    gemm::ConvPlanCache::global().clear();
+    serve::EngineConfig cfg = tiny_engine_config(2, 8);
+    cfg.compiled = true;
+    serve::ServingEngine engine(factory, path, "hep", cfg);
+    ASSERT_NE(engine.compile_report(), nullptr);
+    EXPECT_GT(engine.compile_report()->pretune_misses, 0u);
+
+    nn::Sequential reference = factory();
+    serve::restore_model_file(path, reference, "hep");
+    reference.set_training(false);
+    Rng rng(37);
+    for (int i = 0; i < 4; ++i) {
+      Tensor sample(Shape{3, 32, 32});
+      sample.fill_uniform(rng, -1.0f, 1.0f);
+      Tensor got = engine.submit(sample).get();
+      Tensor single = stack_samples({&sample});
+      const Tensor& want = reference.forward(single);
+      ASSERT_EQ(got.numel(), want.numel());
+      for (std::size_t j = 0; j < got.numel(); ++j) {
+        const double tol =
+            1e-4 * (1.0 + std::abs(static_cast<double>(want.at(j))));
+        EXPECT_NEAR(got.at(j), want.at(j), tol) << "request " << i;
+      }
+    }
+    engine.shutdown();
+    std::remove(path.c_str());
   }
-  engine.shutdown();
-  std::remove(path.c_str());
 }
 
 TEST(CompiledServing, CurrentVersionPlanSectionNamingFftIsRejected) {
