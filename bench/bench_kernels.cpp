@@ -5,6 +5,7 @@
 // from the always-built sibling, bench_conv_backends.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "gemm/conv_backend.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/im2col.hpp"
+#include "gemm/simd.hpp"
 #include "nn/conv2d.hpp"
 
 namespace {
@@ -85,6 +87,74 @@ void BM_SgemmTallSkinny(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SgemmTallSkinny)->Arg(4)->Arg(16)->Arg(196)->Arg(3136);
+
+// One pack call as sgemm makes it, on the climate net's per-image GEMM
+// operands, on each kernel tier: range(0) picks the case, range(1) the
+// gemm::SimdLevel. `mn` is the block's M (pack_a) or N (pack_b) extent,
+// `kc` its K extent and `ld` the operand's leading dimension. GB/s counts
+// the packed panels written.
+struct PackCase {
+  const char* name;
+  bool pack_b, trans;
+  std::size_t mn, kc, ld;
+};
+
+constexpr PackCase kPackCases[] = {
+    // Forward: filters W (out_c x C·k²) as A, the lowered image as B.
+    {"climate.enc3 fwd W", false, false, 48, 256, 800},
+    {"climate.enc1 fwd col", true, false, 1024, 256, 1024},
+    {"climate.enc2 fwd col", true, false, 256, 256, 256},
+    // Backward-data: Wᵀ as A (an MC block of its C·k² rows).
+    {"climate.enc5 bwd_data Wt", false, true, 96, 80, 1600},
+    // Backward-filter: the lowered image, transposed, as B.
+    {"climate.enc1 bwd_filter colt", true, true, 400, 256, 1024},
+    // enc_conv5 forward channel-major (n = 4): colᵀ as A, Wᵀ as B.
+    {"climate.enc5 fwd colt (channel-major)", false, true, 4, 256, 4},
+    {"climate.enc5 fwd Wt (channel-major)", true, true, 80, 256, 1600},
+};
+
+void BM_Pack(benchmark::State& state) {
+  const PackCase& pc = kPackCases[state.range(0)];
+  const auto level = static_cast<gemm::SimdLevel>(state.range(1));
+  if (static_cast<int>(level) > static_cast<int>(gemm::simd_detected_level())) {
+    state.SkipWithError("tier not available on this CPU");
+    return;
+  }
+  const gemm::GemmKernels& ker = gemm::gemm_kernels_for(level);
+  Rng rng(6);
+  std::vector<float> src(std::max(pc.mn, pc.kc) * pc.ld);
+  for (auto& v : src) v = rng.uniform(-1.0f, 1.0f);
+  const std::size_t tile = pc.pack_b ? gemm::kGemmNR : gemm::kGemmMR;
+  std::vector<float> dst((pc.mn + tile - 1) / tile * tile * pc.kc);
+  for (auto _ : state) {
+    if (pc.pack_b) {
+      ker.pack_b(src.data(), pc.ld, pc.trans, 0, 0, pc.kc, pc.mn, dst.data());
+    } else {
+      ker.pack_a(src.data(), pc.ld, pc.trans, 0, 0, pc.mn, pc.kc, dst.data());
+    }
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(pc.name) + " " + gemm::to_string(level));
+  state.counters["GB/s"] = benchmark::Counter(
+      static_cast<double>(dst.size() * sizeof(float)) * state.iterations() /
+          1e9,
+      benchmark::Counter::kIsRate);
+}
+
+void pack_args(benchmark::internal::Benchmark* b, bool pack_b) {
+  for (std::size_t i = 0; i < std::size(kPackCases); ++i) {
+    if (kPackCases[i].pack_b != pack_b) continue;
+    for (const auto level : {gemm::SimdLevel::kScalar, gemm::SimdLevel::kAvx2}) {
+      b->Args({static_cast<long>(i), static_cast<long>(level)});
+    }
+  }
+}
+
+void BM_PackA(benchmark::State& state) { BM_Pack(state); }
+void BM_PackB(benchmark::State& state) { BM_Pack(state); }
+BENCHMARK(BM_PackA)->Apply([](auto* b) { pack_args(b, false); });
+BENCHMARK(BM_PackB)->Apply([](auto* b) { pack_args(b, true); });
 
 void BM_ConvForward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));

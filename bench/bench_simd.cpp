@@ -244,6 +244,9 @@ int run_check_bitexact() {
       {false, true, 50, 70, 90, 1.0f, 0.25f},
       {true, true, 33, 47, 29, -1.0f, 2.0f},
       {false, false, 8, 8, 0, 1.0f, 0.5f},  // degenerate: beta path only
+      // n < 16 <= m: the library runs it channel-major (Cᵀ = Bᵀ·Aᵀ,
+      // transposed store), the replica row-major.
+      {false, false, 80, 4, 1600, 1.0f, 0.0f},
   };
   std::size_t checked = 0;
   for (const auto& t : cases) {

@@ -92,11 +92,12 @@ struct ConvProblem {
 
 /// Opaque weight-derived state shared by many forward() or
 /// backward_data() calls over one (problem, weights) pair — e.g.
-/// Winograd's transformed filter bank U, which depends only on the
-/// weights and would otherwise be recomputed per image inside a batch
-/// loop. Produced by ConvBackend::prepare_forward /
-/// prepare_backward_data on the caller's thread, consumed read-only by
-/// the *_prepared entry points (safe to share across pool threads).
+/// Winograd's transformed filter bank U or im2col's filter matrix packed
+/// into sgemm's panels, which depend only on the weights and would
+/// otherwise be rebuilt per image inside a batch loop. Produced by
+/// ConvBackend::prepare_forward / prepare_backward_data on the caller's
+/// thread, consumed read-only by the *_prepared entry points (safe to
+/// share across pool threads).
 class ConvPrep {
  public:
   virtual ~ConvPrep() = default;
@@ -124,9 +125,10 @@ class ConvBackend {
                        const float* weight, const float* bias,
                        float* out) const = 0;
 
-  /// Hoists weight-only work (filter transforms) out of a batch loop.
-  /// Returns null when the backend has nothing to precompute — the
-  /// default; forward_prepared then falls back to plain forward().
+  /// Hoists weight-only work (filter transforms, filter packing) out of
+  /// a batch loop. Returns null when the backend has nothing to
+  /// precompute — the default; forward_prepared then falls back to plain
+  /// forward().
   virtual std::unique_ptr<ConvPrep> prepare_forward(
       const ConvProblem& p, const float* weight) const {
     (void)p;
@@ -210,7 +212,9 @@ struct AutotuneOptions {
 
 /// Measured per-image wall microseconds of `b` on `p` in `phase` (min
 /// over reps, deterministic synthetic operands), run serially on the
-/// calling thread as the layers' image tasks run it.
+/// calling thread as the layers' image tasks run it: forward and
+/// backward-data time the prepared entry points against a prep built
+/// once, outside the timed loop, as layers build one per batch.
 double benchmark_backend(const ConvBackend& b, const ConvProblem& p,
                          const AutotuneOptions& opt = {},
                          ConvPhase phase = ConvPhase::kForward);

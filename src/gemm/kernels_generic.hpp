@@ -2,9 +2,9 @@
 // the pack routines and the scalar MR x NR microkernel. This header is
 // included by BOTH dispatch TUs — src/gemm/simd.cpp (portable flags; the
 // scalar tier, numerically identical to the pre-dispatch kernels) and
-// src/gemm/simd_avx2.cpp (per-file -mavx2 -mfma; the compiler
-// auto-vectorizes the pack copies and the same loops become the AVX2
-// tier's fallbacks where no hand-written kernel exists).
+// src/gemm/simd_avx2.cpp (per-file -mavx2 -mfma), which supersedes all
+// three with hand-written intrinsics and uses these only in a build
+// without AVX2 codegen.
 //
 // Everything here lives in an anonymous namespace ON PURPOSE: each TU
 // must keep its own copy with its own codegen. With external (inline/
@@ -33,9 +33,10 @@ inline float kernel_load_b(const float* b, std::size_t ldb, bool trans,
 
 // Pack an mc x kc block of op(A) into panels of MR rows:
 // dst layout: ceil(mc/MR) panels, each kc columns of MR contiguous rows.
-void generic_pack_a(const float* a, std::size_t lda, bool trans,
-                    std::size_t row0, std::size_t col0, std::size_t mc,
-                    std::size_t kc, float* dst) {
+[[maybe_unused]] void generic_pack_a(const float* a, std::size_t lda,
+                                    bool trans, std::size_t row0,
+                                    std::size_t col0, std::size_t mc,
+                                    std::size_t kc, float* dst) {
   constexpr std::size_t MR = kGemmMR;
   for (std::size_t i0 = 0; i0 < mc; i0 += MR) {
     const std::size_t mr = std::min(MR, mc - i0);
@@ -52,9 +53,10 @@ void generic_pack_a(const float* a, std::size_t lda, bool trans,
 // dst layout: ceil(nc/NR) panels, each kc rows of NR contiguous columns.
 // The non-transposed full-panel case is a straight row copy — split out
 // so it compiles to vector moves instead of a gather loop.
-void generic_pack_b(const float* b, std::size_t ldb, bool trans,
-                    std::size_t row0, std::size_t col0, std::size_t kc,
-                    std::size_t nc, float* dst) {
+[[maybe_unused]] void generic_pack_b(const float* b, std::size_t ldb,
+                                    bool trans, std::size_t row0,
+                                    std::size_t col0, std::size_t kc,
+                                    std::size_t nc, float* dst) {
   constexpr std::size_t NR = kGemmNR;
   for (std::size_t j0 = 0; j0 < nc; j0 += NR) {
     const std::size_t nr = std::min(NR, nc - j0);
@@ -78,9 +80,8 @@ void generic_pack_b(const float* b, std::size_t ldb, bool trans,
 
 // MR x NR microkernel: acc += packed_a_panel * packed_b_panel over kc.
 // Plain scalar code with fixed trip counts; GCC vectorises the NR loop.
-// `acc` is the row-major MR x NR tile. ([[maybe_unused]]: the AVX2 TU
-// includes this header for the pack routines but supersedes the
-// microkernel with hand-written intrinsics.)
+// `acc` is the row-major MR x NR tile. ([[maybe_unused]], like the
+// packers: the AVX2 TU includes this header but supersedes all three.)
 [[maybe_unused]] void generic_microkernel(std::size_t kc, const float* __restrict__ pa,
                          const float* __restrict__ pb,
                          float* __restrict__ acc) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -407,19 +408,78 @@ TEST(ConvBackendPrep, WinogradPreparedBackwardDataMatchesUnprepared) {
 
 TEST(ConvBackendPrep, BackendsWithoutBackwardPrepFallBack) {
   // The base contract: null prep is allowed and means "no prep" — the
-  // im2col adjoint has nothing to precompute, and the prepared entry
+  // direct loops have nothing to precompute, and the prepared entry
   // point must still compute the exact same gradient.
-  const auto& im2col = gemm::backend(gemm::ConvBackendKind::kIm2col);
+  const auto& direct = gemm::backend(gemm::ConvBackendKind::kDirect);
   const gemm::ConvProblem p = make_problem(2, 3, 7, 3, 1, 1);
   const ConvOperands ops = random_operands(p, 0xfa11);
-  EXPECT_EQ(im2col.prepare_backward_data(p, ops.weight.data()), nullptr);
+  EXPECT_EQ(direct.prepare_backward_data(p, ops.weight.data()), nullptr);
   std::vector<float> plain(p.geom.in_c * 7 * 7, 0.0f);
-  im2col.backward_data(p, ops.dout.data(), ops.weight.data(), plain.data());
+  direct.backward_data(p, ops.dout.data(), ops.weight.data(), plain.data());
   std::vector<float> prepared(plain.size(), 1.0f);
-  im2col.backward_data_prepared(p, nullptr, ops.dout.data(),
+  direct.backward_data_prepared(p, nullptr, ops.dout.data(),
                                 ops.weight.data(), prepared.data());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     ASSERT_EQ(prepared[i], plain[i]) << "element " << i;
+  }
+}
+
+// The im2col prep packs the filter matrix into sgemm's panels once; the
+// prepared entry points must reproduce the plain ones bit for bit. The
+// geometries cover output sides of 1, 2 and 4 px (n < 16, where a
+// GEMM with m >= 16 runs channel-major) and larger ones, out_c not a
+// multiple of the 6-row tile, K above the 256-deep K block, and N above
+// the 2048-column N block (3 -> 32 at 64 px: N = 4096).
+TEST(ConvBackendPrep, Im2colPreparedMatchesPlainBitForBit) {
+  const auto& im2col = gemm::backend(ConvBackendKind::kIm2col);
+  const struct {
+    std::size_t in_c, out_c, hw, kernel, stride, pad;
+  } cases[] = {
+      {80, 4, 2, 3, 1, 1},    // 2 px out, K 720, out_c 4 (a climate head)
+      {64, 80, 3, 5, 2, 2},   // 2 px out, K 1600 (enc_conv5)
+      {48, 64, 8, 5, 2, 2},   // 4 px out, K 1200 (enc_conv4)
+      {32, 20, 1, 3, 1, 1},   // 1 px out, out_c 20
+      {24, 17, 2, 1, 1, 0},   // 2 px out, K 24, out_c 17
+      {13, 29, 9, 3, 1, 1},   // 9 px out (n 81), K 117, out_c 29
+      {16, 32, 32, 5, 2, 2},  // 16 px out (n 256), K 400
+      {3, 32, 64, 3, 1, 1},   // 64 px out (n 4096), K 27
+  };
+  for (const auto& c : cases) {
+    const gemm::ConvProblem p =
+        make_problem(c.in_c, c.out_c, c.hw, c.kernel, c.stride, c.pad);
+    const ConvOperands ops = random_operands(p, 0x1c0 + c.in_c * c.hw);
+    const std::string where = "in_c " + std::to_string(c.in_c) + " out_c " +
+                              std::to_string(c.out_c) + " hw " +
+                              std::to_string(c.hw);
+
+    const std::size_t out_n = p.out_c * p.geom.lowered_cols();
+    std::vector<float> plain(out_n, -1.0f), prepared(out_n, -2.0f);
+    im2col.forward(p, ops.image.data(), ops.weight.data(), ops.bias.data(),
+                   plain.data());
+    const std::unique_ptr<gemm::ConvPrep> fprep =
+        im2col.prepare_forward(p, ops.weight.data());
+    ASSERT_NE(fprep, nullptr) << where;
+    im2col.forward_prepared(p, fprep.get(), ops.image.data(),
+                            ops.weight.data(), ops.bias.data(),
+                            prepared.data());
+    ASSERT_EQ(std::memcmp(plain.data(), prepared.data(),
+                          out_n * sizeof(float)),
+              0)
+        << "forward, " << where;
+
+    const std::size_t in_n = ops.image.size();
+    std::vector<float> dplain(in_n, -1.0f), dprepared(in_n, -2.0f);
+    im2col.backward_data(p, ops.dout.data(), ops.weight.data(),
+                         dplain.data());
+    const std::unique_ptr<gemm::ConvPrep> dprep =
+        im2col.prepare_backward_data(p, ops.weight.data());
+    ASSERT_NE(dprep, nullptr) << where;
+    im2col.backward_data_prepared(p, dprep.get(), ops.dout.data(),
+                                  ops.weight.data(), dprepared.data());
+    ASSERT_EQ(std::memcmp(dplain.data(), dprepared.data(),
+                          in_n * sizeof(float)),
+              0)
+        << "backward_data, " << where;
   }
 }
 
@@ -636,6 +696,69 @@ TEST(Autotune, BenchmarkRejectsInapplicableBackend) {
       "not applicable");
 }
 
+/// Counts the entry points benchmark_backend calls; computes nothing.
+class CountingBackend final : public gemm::ConvBackend {
+ public:
+  struct Prep final : gemm::ConvPrep {};
+  mutable int prepares = 0, prepared_calls = 0, plain_calls = 0;
+
+  ConvBackendKind kind() const override { return ConvBackendKind::kDirect; }
+  bool applicable(const gemm::ConvProblem&, ConvPhase) const override {
+    return true;
+  }
+  void forward(const gemm::ConvProblem&, const float*, const float*,
+               const float*, float*) const override {
+    ++plain_calls;
+  }
+  std::unique_ptr<gemm::ConvPrep> prepare_forward(
+      const gemm::ConvProblem&, const float*) const override {
+    ++prepares;
+    return std::make_unique<Prep>();
+  }
+  void forward_prepared(const gemm::ConvProblem&, const gemm::ConvPrep* prep,
+                        const float*, const float*, const float*,
+                        float*) const override {
+    EXPECT_NE(prep, nullptr);
+    ++prepared_calls;
+  }
+  void backward_data(const gemm::ConvProblem&, const float*, const float*,
+                     float*) const override {
+    ++plain_calls;
+  }
+  std::unique_ptr<gemm::ConvPrep> prepare_backward_data(
+      const gemm::ConvProblem&, const float*) const override {
+    ++prepares;
+    return std::make_unique<Prep>();
+  }
+  void backward_data_prepared(const gemm::ConvProblem&,
+                              const gemm::ConvPrep* prep, const float*,
+                              const float*, float*) const override {
+    EXPECT_NE(prep, nullptr);
+    ++prepared_calls;
+  }
+  std::uint64_t flops(const gemm::ConvProblem&, ConvPhase) const override {
+    return 1;
+  }
+};
+
+TEST(Autotune, BenchmarkTimesPreparedEntryPointsWithOnePrep) {
+  // The race must time what layers run: one prep per batch, then the
+  // prepared entry point per image — never the plain one, which would
+  // charge weight-only work (filter packing, transforms) to every image.
+  const gemm::ConvProblem p = make_problem(2, 3, 6, 3, 1, 1);
+  gemm::AutotuneOptions opt;
+  opt.warmup = 2;
+  opt.reps = 3;
+  for (const ConvPhase phase :
+       {ConvPhase::kForward, ConvPhase::kBackwardData}) {
+    const CountingBackend counting;
+    gemm::benchmark_backend(counting, p, opt, phase);
+    EXPECT_EQ(counting.prepares, 1) << gemm::to_string(phase);
+    EXPECT_EQ(counting.prepared_calls, 5) << gemm::to_string(phase);
+    EXPECT_EQ(counting.plain_calls, 0) << gemm::to_string(phase);
+  }
+}
+
 TEST(PlanCache, MemoizesFirstSightAndCountsHits) {
   gemm::ConvPlanCache cache(fast_tune());
   const gemm::ConvProblem p = make_problem(2, 3, 10, 3, 1, 1);
@@ -747,13 +870,13 @@ TEST(PreparedForward, WinogradPrepMatchesPlainForwardBothTiles) {
 TEST(PreparedForward, BackendsWithoutPrepFallBackToPlainForward) {
   const gemm::ConvProblem p = make_problem(2, 3, 6, 3, 1, 1);
   const ConvOperands ops = random_operands(p, 0xabcdu);
-  const gemm::ConvBackend& im2col = gemm::backend(ConvBackendKind::kIm2col);
-  EXPECT_EQ(im2col.prepare_forward(p, ops.weight.data()), nullptr);
+  const gemm::ConvBackend& direct = gemm::backend(ConvBackendKind::kDirect);
+  EXPECT_EQ(direct.prepare_forward(p, ops.weight.data()), nullptr);
   const std::size_t out_n = p.out_c * p.geom.lowered_cols();
   std::vector<float> plain(out_n), prepped(out_n);
-  im2col.forward(p, ops.image.data(), ops.weight.data(), ops.bias.data(),
+  direct.forward(p, ops.image.data(), ops.weight.data(), ops.bias.data(),
                  plain.data());
-  im2col.forward_prepared(p, nullptr, ops.image.data(), ops.weight.data(),
+  direct.forward_prepared(p, nullptr, ops.image.data(), ops.weight.data(),
                           ops.bias.data(), prepped.data());
   for (std::size_t i = 0; i < out_n; ++i) EXPECT_EQ(plain[i], prepped[i]);
 }

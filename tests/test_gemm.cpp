@@ -3,6 +3,7 @@
 // kernel scratch pool.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -74,6 +75,91 @@ INSTANTIATE_TEST_SUITE_P(
         // Deep-learning typical: tall-skinny (small N = minibatch).
         GemmCase{128, 4, 1152, false, false, 1.0f, 0.0f},
         GemmCase{128, 8, 1152, false, true, 1.0f, 0.0f}));
+
+// C from sgemm(ta, tb, m, n) against Cᵀ from sgemm(!tb, !ta, n, m).
+// Where n < 16 <= m (the ChannelMajor set) sgemm computes C as Cᵀ =
+// op(B)ᵀ·op(A)ᵀ with a transposed store; every output element keeps its
+// K order and multiply-add sequence in either orientation, so the two
+// must agree bit for bit on every shape.
+TEST_P(GemmShapes, EqualsTransposeOfSwappedProduct) {
+  const GemmCase c = GetParam();
+  Rng rng(202);
+  const std::size_t lda = c.ta ? c.m : c.k;
+  const std::size_t ldb = c.tb ? c.k : c.n;
+  const auto a = random_matrix((c.ta ? c.k : c.m) * lda, rng);
+  const auto b = random_matrix((c.tb ? c.n : c.k) * ldb, rng);
+  const auto c0 = random_matrix(c.m * c.n, rng);
+  auto c_mn = c0;
+  sgemm(c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), lda, b.data(), ldb,
+        c.beta, c_mn.data(), c.n);
+  // Cᵀ (n x m) = op(B)ᵀ·op(A)ᵀ, starting from C0ᵀ.
+  std::vector<float> ct(c.n * c.m);
+  for (std::size_t i = 0; i < c.m; ++i) {
+    for (std::size_t j = 0; j < c.n; ++j) ct[j * c.m + i] = c0[i * c.n + j];
+  }
+  sgemm(!c.tb, !c.ta, c.n, c.m, c.k, c.alpha, b.data(), ldb, a.data(), lda,
+        c.beta, ct.data(), c.m);
+  for (std::size_t i = 0; i < c.m; ++i) {
+    for (std::size_t j = 0; j < c.n; ++j) {
+      ASSERT_EQ(std::memcmp(&c_mn[i * c.n + j], &ct[j * c.m + i],
+                            sizeof(float)),
+                0)
+          << "C(" << i << ", " << j << ")";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChannelMajor, GemmShapes,
+    ::testing::Values(
+        // The climate net's 2 px layers: enc_conv5 forward, dec_deconv1
+        // backward-data.
+        GemmCase{80, 4, 1600, false, false, 1.0f, 0.0f},
+        GemmCase{720, 4, 80, true, false, 1.0f, 0.0f},
+        // Every transpose pair, ragged tiles, beta and alpha.
+        GemmCase{16, 1, 300, false, true, 1.0f, 0.0f},
+        GemmCase{17, 15, 33, true, true, 1.0f, 0.0f},
+        GemmCase{97, 7, 257, false, false, 0.5f, 1.0f},
+        GemmCase{2100, 9, 20, true, false, 2.0f, -0.5f}));
+
+TEST(Gemm, NarrowOutputsRunChannelMajor) {
+  EXPECT_TRUE(gemm_transposes(80, 4));
+  EXPECT_TRUE(gemm_transposes(16, 15));
+  EXPECT_FALSE(gemm_transposes(15, 4));   // m does not fill the tile
+  EXPECT_FALSE(gemm_transposes(80, 16));  // n already does
+}
+
+// sgemm_packed against the sgemm call on the matrix it packed, bit for
+// bit, in both orientations and across the MC, KC and NC blocks.
+TEST(Gemm, PackedAMatchesSgemmBitForBit) {
+  const GemmCase cases[] = {
+      {80, 4, 1600, false, false, 1.0f, 0.0f},   // channel-major
+      {720, 4, 80, true, false, 1.0f, 0.0f},     // channel-major, A^T
+      {17, 16, 24, false, false, 1.0f, 0.0f},    // n = NR: row-major
+      {29, 81, 117, false, false, 1.0f, 0.0f},
+      {97, 65, 257, true, false, 0.5f, 1.0f},    // crosses MC and KC
+      {32, 2100, 27, false, true, 1.0f, 0.0f},   // crosses NC
+      {5, 3, 300, false, false, 1.0f, 0.0f},     // both sides below NR
+  };
+  for (const GemmCase& c : cases) {
+    Rng rng(303);
+    const std::size_t lda = c.ta ? c.m : c.k;
+    const std::size_t ldb = c.tb ? c.k : c.n;
+    const auto a = random_matrix((c.ta ? c.k : c.m) * lda, rng);
+    const auto b = random_matrix((c.tb ? c.n : c.k) * ldb, rng);
+    auto c_plain = random_matrix(c.m * c.n, rng);
+    auto c_packed = c_plain;
+    sgemm(c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), lda, b.data(), ldb,
+          c.beta, c_plain.data(), c.n);
+    const PackedA packed(c.ta, c.m, c.n, c.k, a.data(), lda);
+    sgemm_packed(packed, c.tb, c.alpha, b.data(), ldb, c.beta,
+                 c_packed.data(), c.n);
+    EXPECT_EQ(std::memcmp(c_plain.data(), c_packed.data(),
+                          c_plain.size() * sizeof(float)),
+              0)
+        << c.m << "x" << c.n << "x" << c.k;
+  }
+}
 
 TEST(Gemm, DegenerateKActsAsScale) {
   std::vector<float> c_data{1.0f, 2.0f, 3.0f, 4.0f};

@@ -157,33 +157,55 @@ TEST(SimdGemm, TiersAgreeToFmaTolerance) {
 TEST(SimdGemm, PackLayoutIsBitwiseTierIndependent) {
   // The microkernels differ; the packed operand layout must not. A tier
   // that "improved" the pack format would silently break sgemm_at races
-  // and the layout documented in gemm.cpp.
-  const std::size_t rows = 19, cols = 23;
-  const std::vector<float> src = random_vec(rows * cols, 3);
+  // and PackedA's panels. Block sizes run below, at and above multiples
+  // of 6 (MR), 8 (one ymm, the AVX2 packers' transpose width) and 16
+  // (NR), at zero and non-zero offsets, both transposes; a sentinel
+  // after the packed region must survive.
+  constexpr std::size_t ld = 48;
+  constexpr std::size_t kSentinel = 16;
+  const std::vector<float> src = random_vec(ld * ld, 3);
   const auto& scalar = gemm::gemm_kernels_for(SimdLevel::kScalar);
   const auto& avx2 = gemm::gemm_kernels_for(SimdLevel::kAvx2);
+  const auto round_up = [](std::size_t v, std::size_t to) {
+    return (v + to - 1) / to * to;
+  };
+  const auto same = [&](const std::vector<float>& s,
+                        const std::vector<float>& v, std::size_t packed) {
+    for (std::size_t i = packed; i < packed + kSentinel; ++i) {
+      if (s[i] != -7.0f || v[i] != -7.0f) return false;
+    }
+    return std::memcmp(s.data(), v.data(), s.size() * sizeof(float)) == 0;
+  };
+  const std::size_t edges[] = {1, 5, 6, 7, 8, 9, 12, 13, 15, 16, 17, 24};
   for (const bool trans : {false, true}) {
-    const std::size_t mc = 13, kc = 11;
-    std::vector<float> pa_s(((mc + gemm::kGemmMR - 1) / gemm::kGemmMR) *
-                                gemm::kGemmMR * kc,
-                            -1.0f);
-    std::vector<float> pa_v = pa_s;
-    scalar.pack_a(src.data(), cols, trans, 2, 3, mc, kc, pa_s.data());
-    avx2.pack_a(src.data(), cols, trans, 2, 3, mc, kc, pa_v.data());
-    EXPECT_EQ(std::memcmp(pa_s.data(), pa_v.data(),
-                          pa_s.size() * sizeof(float)),
-              0);
-    const std::size_t nc = 17;
-    std::vector<float> pb_s(kc *
-                                ((nc + gemm::kGemmNR - 1) / gemm::kGemmNR) *
-                                gemm::kGemmNR,
-                            -1.0f);
-    std::vector<float> pb_v = pb_s;
-    scalar.pack_b(src.data(), cols, trans, 1, 2, kc, nc, pb_s.data());
-    avx2.pack_b(src.data(), cols, trans, 1, 2, kc, nc, pb_v.data());
-    EXPECT_EQ(std::memcmp(pb_s.data(), pb_v.data(),
-                          pb_s.size() * sizeof(float)),
-              0);
+    for (const std::size_t off : {0u, 3u}) {
+      for (const std::size_t kc : edges) {
+        for (const std::size_t mc : edges) {
+          const std::size_t packed = round_up(mc, gemm::kGemmMR) * kc;
+          std::vector<float> pa_s(packed + kSentinel, -7.0f);
+          std::vector<float> pa_v = pa_s;
+          scalar.pack_a(src.data(), ld, trans, off, off + 1, mc, kc,
+                        pa_s.data());
+          avx2.pack_a(src.data(), ld, trans, off, off + 1, mc, kc,
+                      pa_v.data());
+          EXPECT_TRUE(same(pa_s, pa_v, packed))
+              << "pack_a trans " << trans << " off " << off << " mc " << mc
+              << " kc " << kc;
+        }
+        for (const std::size_t nc : edges) {
+          const std::size_t packed = kc * round_up(nc, gemm::kGemmNR);
+          std::vector<float> pb_s(packed + kSentinel, -7.0f);
+          std::vector<float> pb_v = pb_s;
+          scalar.pack_b(src.data(), ld, trans, off + 1, off, kc, nc,
+                        pb_s.data());
+          avx2.pack_b(src.data(), ld, trans, off + 1, off, kc, nc,
+                      pb_v.data());
+          EXPECT_TRUE(same(pb_s, pb_v, packed))
+              << "pack_b trans " << trans << " off " << off << " kc " << kc
+              << " nc " << nc;
+        }
+      }
+    }
   }
 }
 
