@@ -7,7 +7,7 @@
 //   2. YellowFin closing the loop online: no search at all, momentum and
 //      learning rate are derived from running gradient statistics.
 // Level 0 goes below the training loop: the convolution backend registry
-// (im2col / Winograd / direct / sub-pixel) exposed as a tune::Space,
+// (im2col / Winograd / sub-pixel) exposed as a tune::Space,
 // searched with the same machinery, and compared against the plan cache's
 // pick.
 #include <cstdio>

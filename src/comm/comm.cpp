@@ -89,12 +89,19 @@ class Context {
     return payload;
   }
 
+  /// take()'s abort semantics without the wait: a queued message still
+  /// reads true, and an empty queue in an aborted job throws, so a rank
+  /// polling for messages (a parameter server) cannot spin forever.
   bool peek(int dst_world, std::uint64_t comm_id, int src_comm_rank,
             int tag) {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(dst_world)];
     MutexLock lock(box.mutex);
     auto it = box.queues.find({comm_id, src_comm_rank, tag});
-    return it != box.queues.end() && !it->second.empty();
+    if (it != box.queues.end() && !it->second.empty()) return true;
+    if (aborted()) {
+      throw AbortedError("probe interrupted: cluster aborted by a peer");
+    }
+    return false;
   }
 
   /// Sense-reversing barrier keyed by communicator.

@@ -62,7 +62,8 @@ class Communicator {
   /// Blocking receive of the next message from (src, tag), in send order.
   std::vector<float> recv(int src, int tag);
 
-  /// True if a message from (src, tag) is already waiting.
+  /// True if a message from (src, tag) is already waiting. Like recv(),
+  /// throws AbortedError once a peer has failed and nothing is waiting.
   bool probe(int src, int tag);
 
   void barrier();

@@ -33,8 +33,6 @@ const char* to_string(ConvBackendKind kind) {
       return "im2col";
     case ConvBackendKind::kWinograd:
       return "winograd";
-    case ConvBackendKind::kDirect:
-      return "direct";
     case ConvBackendKind::kSubpixel:
       return "subpixel";
   }
@@ -44,7 +42,6 @@ const char* to_string(ConvBackendKind kind) {
 std::optional<ConvBackendKind> parse_backend(const std::string& name) {
   if (name == "im2col") return ConvBackendKind::kIm2col;
   if (name == "winograd") return ConvBackendKind::kWinograd;
-  if (name == "direct") return ConvBackendKind::kDirect;
   if (name == "subpixel") return ConvBackendKind::kSubpixel;
   return std::nullopt;
 }
@@ -85,16 +82,6 @@ bool ConvProblem::operator<(const ConvProblem& other) const {
 
 bool ConvProblem::operator==(const ConvProblem& other) const {
   return key_tuple(*this) == key_tuple(other);
-}
-
-void ConvBackend::backward_data(const ConvProblem&, const float*,
-                                const float*, float*) const {
-  PF15_CHECK_MSG(false, name() << " declines the backward_data phase");
-}
-
-void ConvBackend::backward_filter(const ConvProblem&, const float*,
-                                  const float*, float*) const {
-  PF15_CHECK_MSG(false, name() << " declines the backward_filter phase");
 }
 
 namespace {
@@ -352,207 +339,6 @@ class WinogradBackend final : public ConvBackend {
   }
 };
 
-// ---- direct (small-spatial) ------------------------------------------------
-
-// Plain nested loops, no lowering and no transform. Arithmetic equals the
-// GEMM path's, but for tiny output grids (detection heads on a coarse
-// grid, the last layers of a pooled stack) skipping the (C·K²) x (OH·OW)
-// materialisation beats both GEMM setup and transform overhead.
-class DirectBackend final : public ConvBackend {
- public:
-  ConvBackendKind kind() const override { return ConvBackendKind::kDirect; }
-
-  bool applicable(const ConvProblem&, ConvPhase) const override {
-    return true;
-  }
-
-  void forward(const ConvProblem& p, const float* image, const float* weight,
-               const float* bias, float* out) const override {
-    const ConvGeom& g = p.geom;
-    const std::size_t oh = g.out_h();
-    const std::size_t ow = g.out_w();
-    const std::size_t taps = g.kernel_h * g.kernel_w;
-    // Interior output range on each axis: every kernel tap lands in
-    // bounds, so the tap loops run branch-free and vectorize. Border
-    // rows/columns (only where pad > 0) keep the per-tap bounds checks.
-    // The accumulation order matches the branchy path exactly — for
-    // interior pixels the skipped branches were never taken — so the
-    // split changes no results, only the inner-loop shape.
-    const std::size_t oy_lo =
-        std::min(oh, (g.pad_h + g.stride_h - 1) / g.stride_h);
-    const std::size_t oy_hi =
-        (g.in_h + g.pad_h >= g.kernel_h)
-            ? std::min(oh, (g.in_h + g.pad_h - g.kernel_h) / g.stride_h + 1)
-            : oy_lo;
-    const std::size_t ox_lo =
-        std::min(ow, (g.pad_w + g.stride_w - 1) / g.stride_w);
-    const std::size_t ox_hi = std::max(
-        ox_lo,
-        (g.in_w + g.pad_w >= g.kernel_w)
-            ? std::min(ow, (g.in_w + g.pad_w - g.kernel_w) / g.stride_w + 1)
-            : ox_lo);
-
-    const auto border_pixel = [&](std::size_t oc, std::size_t oy,
-                                  std::size_t ox, float b) {
-      const std::ptrdiff_t iy0 =
-          static_cast<std::ptrdiff_t>(oy * g.stride_h) -
-          static_cast<std::ptrdiff_t>(g.pad_h);
-      const std::ptrdiff_t ix0 =
-          static_cast<std::ptrdiff_t>(ox * g.stride_w) -
-          static_cast<std::ptrdiff_t>(g.pad_w);
-      float acc = b;
-      for (std::size_t ic = 0; ic < g.in_c; ++ic) {
-        const float* plane = image + ic * g.in_h * g.in_w;
-        const float* w = weight + (oc * g.in_c + ic) * taps;
-        for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
-          const std::ptrdiff_t sy = iy0 + static_cast<std::ptrdiff_t>(ky);
-          if (sy < 0 || sy >= static_cast<std::ptrdiff_t>(g.in_h)) {
-            continue;
-          }
-          const float* row = plane + static_cast<std::size_t>(sy) * g.in_w;
-          const float* wrow = w + ky * g.kernel_w;
-          for (std::size_t kx = 0; kx < g.kernel_w; ++kx) {
-            const std::ptrdiff_t sx = ix0 + static_cast<std::ptrdiff_t>(kx);
-            if (sx < 0 || sx >= static_cast<std::ptrdiff_t>(g.in_w)) {
-              continue;
-            }
-            acc += row[static_cast<std::size_t>(sx)] * wrow[kx];
-          }
-        }
-      }
-      return acc;
-    };
-
-    for (std::size_t oc = 0; oc < p.out_c; ++oc) {
-      float* dst = out + oc * oh * ow;
-      const float b = bias != nullptr ? bias[oc] : 0.0f;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        const bool row_interior = oy >= oy_lo && oy < oy_hi;
-        if (!row_interior) {
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            dst[oy * ow + ox] = border_pixel(oc, oy, ox, b);
-          }
-          continue;
-        }
-        for (std::size_t ox = 0; ox < ox_lo; ++ox) {
-          dst[oy * ow + ox] = border_pixel(oc, oy, ox, b);
-        }
-        const std::size_t iy0 = oy * g.stride_h - g.pad_h;
-        for (std::size_t ox = ox_lo; ox < ox_hi; ++ox) {
-          const std::size_t ix0 = ox * g.stride_w - g.pad_w;
-          float acc = b;
-          for (std::size_t ic = 0; ic < g.in_c; ++ic) {
-            const float* plane = image + ic * g.in_h * g.in_w;
-            const float* w = weight + (oc * g.in_c + ic) * taps;
-            for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
-              const float* row = plane + (iy0 + ky) * g.in_w + ix0;
-              const float* wrow = w + ky * g.kernel_w;
-              for (std::size_t kx = 0; kx < g.kernel_w; ++kx) {
-                acc += row[kx] * wrow[kx];
-              }
-            }
-          }
-          dst[oy * ow + ox] = acc;
-        }
-        for (std::size_t ox = ox_hi; ox < ow; ++ox) {
-          dst[oy * ow + ox] = border_pixel(oc, oy, ox, b);
-        }
-      }
-    }
-  }
-
-  void backward_data(const ConvProblem& p, const float* dout,
-                     const float* weight, float* din) const override {
-    const ConvGeom& g = p.geom;
-    const std::size_t oh = g.out_h();
-    const std::size_t ow = g.out_w();
-    const std::size_t taps = g.kernel_h * g.kernel_w;
-    std::memset(din, 0, g.in_c * g.in_h * g.in_w * sizeof(float));
-    for (std::size_t oc = 0; oc < p.out_c; ++oc) {
-      const float* dplane = dout + oc * oh * ow;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        const std::ptrdiff_t iy0 =
-            static_cast<std::ptrdiff_t>(oy * g.stride_h) -
-            static_cast<std::ptrdiff_t>(g.pad_h);
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const std::ptrdiff_t ix0 =
-              static_cast<std::ptrdiff_t>(ox * g.stride_w) -
-              static_cast<std::ptrdiff_t>(g.pad_w);
-          const float dv = dplane[oy * ow + ox];
-          for (std::size_t ic = 0; ic < g.in_c; ++ic) {
-            float* plane = din + ic * g.in_h * g.in_w;
-            const float* w = weight + (oc * g.in_c + ic) * taps;
-            for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
-              const std::ptrdiff_t sy = iy0 + static_cast<std::ptrdiff_t>(ky);
-              if (sy < 0 || sy >= static_cast<std::ptrdiff_t>(g.in_h)) {
-                continue;
-              }
-              float* row = plane + static_cast<std::size_t>(sy) * g.in_w;
-              const float* wrow = w + ky * g.kernel_w;
-              for (std::size_t kx = 0; kx < g.kernel_w; ++kx) {
-                const std::ptrdiff_t sx =
-                    ix0 + static_cast<std::ptrdiff_t>(kx);
-                if (sx < 0 || sx >= static_cast<std::ptrdiff_t>(g.in_w)) {
-                  continue;
-                }
-                row[static_cast<std::size_t>(sx)] += dv * wrow[kx];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
-  void backward_filter(const ConvProblem& p, const float* image,
-                       const float* dout, float* dweight) const override {
-    const ConvGeom& g = p.geom;
-    const std::size_t oh = g.out_h();
-    const std::size_t ow = g.out_w();
-    const std::size_t taps = g.kernel_h * g.kernel_w;
-    for (std::size_t oc = 0; oc < p.out_c; ++oc) {
-      const float* dplane = dout + oc * oh * ow;
-      for (std::size_t ic = 0; ic < g.in_c; ++ic) {
-        const float* plane = image + ic * g.in_h * g.in_w;
-        float* dw = dweight + (oc * g.in_c + ic) * taps;
-        for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
-          for (std::size_t kx = 0; kx < g.kernel_w; ++kx) {
-            double acc = 0.0;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-              const std::ptrdiff_t sy =
-                  static_cast<std::ptrdiff_t>(oy * g.stride_h + ky) -
-                  static_cast<std::ptrdiff_t>(g.pad_h);
-              if (sy < 0 || sy >= static_cast<std::ptrdiff_t>(g.in_h)) {
-                continue;
-              }
-              const float* row =
-                  plane + static_cast<std::size_t>(sy) * g.in_w;
-              const float* drow = dplane + oy * ow;
-              for (std::size_t ox = 0; ox < ow; ++ox) {
-                const std::ptrdiff_t sx =
-                    static_cast<std::ptrdiff_t>(ox * g.stride_w + kx) -
-                    static_cast<std::ptrdiff_t>(g.pad_w);
-                if (sx < 0 || sx >= static_cast<std::ptrdiff_t>(g.in_w)) {
-                  continue;
-                }
-                acc += static_cast<double>(row[static_cast<std::size_t>(sx)]) *
-                       drow[ox];
-              }
-            }
-            dw[ky * g.kernel_w + kx] += static_cast<float>(acc);
-          }
-        }
-      }
-    }
-  }
-
-  std::uint64_t flops(const ConvProblem& p, ConvPhase) const override {
-    // Same multiply-add count as the GEMM formulation, every phase.
-    return gemm::flops(p.out_c, p.geom.lowered_cols(),
-                       p.geom.lowered_rows());
-  }
-};
-
 // ---- sub-pixel (stride s, k = 2p + s, s | p) -------------------------------
 
 // The s² stride-1 t x t convolutions of gemm/subpixel.hpp as one GEMM per
@@ -679,15 +465,12 @@ class SubpixelBackend final : public ConvBackend {
 const ConvBackend& backend(ConvBackendKind kind) {
   static const Im2colBackend im2col_backend;
   static const WinogradBackend winograd_backend;
-  static const DirectBackend direct_backend;
   static const SubpixelBackend subpixel_backend;
   switch (kind) {
     case ConvBackendKind::kIm2col:
       return im2col_backend;
     case ConvBackendKind::kWinograd:
       return winograd_backend;
-    case ConvBackendKind::kDirect:
-      return direct_backend;
     case ConvBackendKind::kSubpixel:
       return subpixel_backend;
   }
@@ -700,7 +483,6 @@ const std::vector<const ConvBackend*>& all_backends() {
   static const std::vector<const ConvBackend*> table = {
       &backend(ConvBackendKind::kIm2col),
       &backend(ConvBackendKind::kWinograd),
-      &backend(ConvBackendKind::kDirect),
       &backend(ConvBackendKind::kSubpixel),
   };
   return table;
@@ -791,11 +573,6 @@ ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt,
   plan.im2col_us = benchmark_backend(reference, p, opt, phase);
   plan.kind = ConvBackendKind::kIm2col;
   plan.best_us = plan.im2col_us;
-  // Every applicable backend is timed. direct is timed even on large
-  // layers, where it loses by 13-30x (hep.conv3 forward: 92 ms vs 4.5 ms
-  // for im2col), because it wins tiny output grids such as the climate
-  // heads (80 -> 1-4 channels at 2 px), where lowering costs more than
-  // the arithmetic.
   for (const ConvBackend* b : applicable_backends(p, phase)) {
     if (b->kind() == ConvBackendKind::kIm2col) continue;
     const double us = benchmark_backend(*b, p, opt, phase);

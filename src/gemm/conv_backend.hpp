@@ -42,12 +42,11 @@ namespace pf15::gemm {
 
 /// Identity of a convolution algorithm in the dispatch table. Values are
 /// stable (they appear in perf records, plan-cache files and tune::Space
-/// encodings). Value 2 belonged to a removed FFT backend and stays unused,
-/// so 0, 1, 3 and 4 keep their meaning.
+/// encodings). Values 2 and 3 belonged to removed FFT and direct-loop
+/// backends and stay unused, so 0, 1 and 4 keep their meaning.
 enum class ConvBackendKind : int {
   kIm2col = 0,    // lowering + GEMM, the always-applicable reference
   kWinograd = 1,  // F(2x2,3x3)/F(4x4,3x3): 3x3 stride-1 only
-  kDirect = 3,    // naive loops: wins when the lowered matrix is tiny
   // s² stride-1 (k/s)x(k/s) convolutions on the low-resolution side
   // (gemm/subpixel.hpp): stride s >= 2 with k = 2p + s, s | p and input
   // sides divisible by s — the climate decoder's 6x6/2 pad-2 deconvs.
@@ -63,7 +62,7 @@ enum class ConvPhase : int {
   kBackwardFilter = 2,  // dW from X and dY
 };
 
-/// Stable lower-case name ("im2col", "winograd", "direct", "subpixel").
+/// Stable lower-case name ("im2col", "winograd", "subpixel").
 const char* to_string(ConvBackendKind kind);
 /// Inverse of to_string; nullopt for unknown names.
 std::optional<ConvBackendKind> parse_backend(const std::string& name);
@@ -92,12 +91,12 @@ struct ConvProblem {
 
 /// Opaque weight-derived state shared by many forward() or
 /// backward_data() calls over one (problem, weights) pair — e.g.
-/// Winograd's transformed filter bank U or im2col's filter matrix packed
-/// into sgemm's panels, which depend only on the weights and would
-/// otherwise be rebuilt per image inside a batch loop. Produced by
-/// ConvBackend::prepare_forward / prepare_backward_data on the caller's
-/// thread, consumed read-only by the *_prepared entry points (safe to
-/// share across pool threads).
+/// Winograd's transformed filter bank U, im2col's filter matrix packed
+/// into sgemm's panels or sub-pixel's rearranged filters, which depend
+/// only on the weights and would otherwise be rebuilt per image inside a
+/// batch loop. Produced by ConvBackend::prepare_forward /
+/// prepare_backward_data on the caller's thread, consumed read-only by
+/// the *_prepared entry points (safe to share across pool threads).
 class ConvPrep {
  public:
   virtual ~ConvPrep() = default;
@@ -126,61 +125,42 @@ class ConvBackend {
                        float* out) const = 0;
 
   /// Hoists weight-only work (filter transforms, filter packing) out of
-  /// a batch loop. Returns null when the backend has nothing to
-  /// precompute — the default; forward_prepared then falls back to plain
-  /// forward().
+  /// a batch loop. Every backend builds a prep.
   virtual std::unique_ptr<ConvPrep> prepare_forward(
-      const ConvProblem& p, const float* weight) const {
-    (void)p;
-    (void)weight;
-    return nullptr;
-  }
+      const ConvProblem& p, const float* weight) const = 0;
 
-  /// forward() that may consume `prep` (from this backend's
-  /// prepare_forward on the same problem and weights; null is allowed and
-  /// means "no prep"). The base implementation ignores prep.
+  /// forward() that consumes `prep` from this backend's prepare_forward on
+  /// the same problem and weights. Null is allowed and means "no prep":
+  /// the call then works from `weight` alone, as forward() does.
   virtual void forward_prepared(const ConvProblem& p, const ConvPrep* prep,
                                 const float* image, const float* weight,
-                                const float* bias, float* out) const {
-    (void)prep;
-    forward(p, image, weight, bias, out);
-  }
+                                const float* bias, float* out) const = 0;
 
   /// One image data gradient: dout (OC,OH,OW) and weight -> din (C,H,W).
   /// Overwrite semantics: the backend fully computes the din image.
   /// Only valid when applicable(p, kBackwardData).
   virtual void backward_data(const ConvProblem& p, const float* dout,
-                             const float* weight, float* din) const;
+                             const float* weight, float* din) const = 0;
 
-  /// Hoists weight-only backward-data work out of a batch loop —
-  /// Winograd's rotated/channel-transposed filter bank and its transform,
-  /// which would otherwise be rebuilt per image. Returns null when the
-  /// backend has nothing to precompute (the default);
-  /// backward_data_prepared then falls back to plain backward_data().
-  /// Only valid when applicable(p, kBackwardData).
+  /// Hoists weight-only backward-data work out of a batch loop (e.g.
+  /// Winograd's rotated, channel-transposed filter bank and its
+  /// transform). Only valid when applicable(p, kBackwardData).
   virtual std::unique_ptr<ConvPrep> prepare_backward_data(
-      const ConvProblem& p, const float* weight) const {
-    (void)p;
-    (void)weight;
-    return nullptr;
-  }
+      const ConvProblem& p, const float* weight) const = 0;
 
-  /// backward_data() that may consume `prep` (from this backend's
+  /// backward_data() that consumes `prep` from this backend's
   /// prepare_backward_data on the same problem and weights; null is
-  /// allowed and means "no prep"). The base implementation ignores prep.
+  /// allowed and means "no prep", as for forward_prepared.
   virtual void backward_data_prepared(const ConvProblem& p,
                                       const ConvPrep* prep,
                                       const float* dout, const float* weight,
-                                      float* din) const {
-    (void)prep;
-    backward_data(p, dout, weight, din);
-  }
+                                      float* din) const = 0;
 
   /// One image filter gradient: image and dout -> dweight
   /// (OC,C,KH,KW), *accumulated* (+=) so a batch loop sums over images.
   /// Only valid when applicable(p, kBackwardFilter).
   virtual void backward_filter(const ConvProblem& p, const float* image,
-                               const float* dout, float* dweight) const;
+                               const float* dout, float* dweight) const = 0;
 
   /// Analytic per-image FLOP count for `phase` (§V accounting: one
   /// multiply-add is two FLOPs).
@@ -240,7 +220,9 @@ ConvPlan autotune(const ConvProblem& p, const AutotuneOptions& opt = {},
 /// the "fft" backend; v5 added the "subpixel" candidate, so plans raced
 /// without it re-tune instead of pinning im2col on stride-2 deconvs; v6
 /// dropped the execution-mode and batch-bucket keys, so plans timed with
-/// backend fan-out re-tune serially.
+/// backend fan-out re-tune serially. Removing the "direct" backend kept
+/// v6: a stored plan naming it fails parse_backend by name and re-tunes,
+/// and no other stored winner changes when a losing candidate leaves.
 inline constexpr int kConvPlanCacheVersion = 6;
 
 /// Process-wide memo of autotune() results, keyed by (ConvProblem,

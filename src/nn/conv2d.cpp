@@ -15,15 +15,18 @@ using gemm::ConvPhase;
 gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
                                            const gemm::ConvProblem& p,
                                            ConvPhase phase) {
-  gemm::ConvBackendKind forced = gemm::ConvBackendKind::kIm2col;
   switch (algo) {
     case ConvAlgo::kIm2col:
-      return gemm::ConvBackendKind::kIm2col;
-    case ConvAlgo::kWinograd:
-      forced = gemm::ConvBackendKind::kWinograd;
       break;
-    case ConvAlgo::kDirect:
-      forced = gemm::ConvBackendKind::kDirect;
+    case ConvAlgo::kWinograd:
+      // Where forced Winograd declines this phase (backward-data at
+      // pad > 2) it falls back to the always-applicable im2col adjoint;
+      // the layers' backend query methods report the fallback, so it is
+      // explicit, never silent.
+      if (gemm::backend(gemm::ConvBackendKind::kWinograd)
+              .applicable(p, phase)) {
+        return gemm::ConvBackendKind::kWinograd;
+      }
       break;
     case ConvAlgo::kAuto:
       // kAuto: every applicable backend races once per (problem, phase)
@@ -31,14 +34,7 @@ gemm::ConvBackendKind resolve_conv_backend(ConvAlgo algo,
       // through the persisted plan cache.
       return gemm::ConvPlanCache::global().plan(p, phase).kind;
   }
-  // A forced backend that declines this phase (Winograd backward-data at
-  // pad > 2) falls back to the always-applicable im2col adjoint; the
-  // layers' backend query methods report the fallback, so it is
-  // explicit, never silent.
-  if (!gemm::backend(forced).applicable(p, phase)) {
-    return gemm::ConvBackendKind::kIm2col;
-  }
-  return forced;
+  return gemm::ConvBackendKind::kIm2col;
 }
 
 gemm::ConvBackendKind planned_conv_backend(ConvAlgo algo,

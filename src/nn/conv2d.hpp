@@ -2,8 +2,8 @@
 // Weight layout is OIHW; bias is per output channel.
 //
 // Forward *and* backward dispatch through the gemm::ConvBackend registry:
-// im2col+GEMM, Winograd F(2x2/4x4,3x3), direct loops, or the sub-pixel
-// form of stride-s kernels (k = 2p + s, s | p). kAuto
+// im2col+GEMM, Winograd F(2x2/4x4,3x3), or the sub-pixel form of
+// stride-s kernels (k = 2p + s, s | p). kAuto
 // consults the process-wide gemm::ConvPlanCache, which micro-benchmarks
 // applicable backends the first time a (problem, phase) is seen and
 // remembers the winner — forward, backward-data and backward-filter tune
@@ -25,16 +25,15 @@
 
 namespace pf15::nn {
 
-/// Algorithm selection. kIm2col/kWinograd/kDirect force one
-/// gemm::ConvBackend (construction PF15_CHECKs applicability for
-/// Winograd; direct applies everywhere); kAuto lets the autotune plan
-/// cache pick per (geometry, phase). The sub-pixel backend has no forcing
-/// value: it runs where kAuto's race or a ConvPlanCache::insert override
-/// picks it. A forced backend that declines a
-/// backward phase (Winograd backward-data at pad > 2) falls back to the
-/// im2col adjoint there — the fallback is explicit via
+/// Algorithm selection. kIm2col/kWinograd force one gemm::ConvBackend
+/// (construction PF15_CHECKs applicability for Winograd); kAuto lets the
+/// autotune plan cache pick per (geometry, phase). The sub-pixel backend
+/// has no forcing value: it runs where kAuto's race or a
+/// ConvPlanCache::insert override picks it. A forced backend that
+/// declines a backward phase (Winograd backward-data at pad > 2) falls
+/// back to the im2col adjoint there — the fallback is explicit via
 /// backward_backend(), never silent.
-enum class ConvAlgo { kIm2col, kWinograd, kAuto, kDirect };
+enum class ConvAlgo { kIm2col, kWinograd, kAuto };
 
 struct Conv2dConfig {
   std::size_t in_channels = 0;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <thread>
 
 #include "comm/comm.hpp"
 #include "common/errors.hpp"
@@ -248,6 +249,32 @@ TEST(Comm, PeerFailureUnblocksRecv) {
       if (comm.rank() == 1) throw Error("rank 1 died");
       (void)comm.recv(1, 7);
       FAIL() << "recv must not return a phantom message";
+    });
+    FAIL() << "run() must rethrow";
+  } catch (const AbortedError&) {
+    FAIL() << "root cause must win over the secondary abort";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "rank 1 died");
+  }
+}
+
+TEST(Comm, PeerFailureUnblocksProbe) {
+  // Rank 0 polls the way a parameter server polls its clients; rank 1
+  // sends one message and dies. Polling for a message that will never
+  // come must throw instead of reading false forever, the message that
+  // did arrive still reads true, and run() rethrows the root cause.
+  Cluster cluster(2);
+  try {
+    cluster.run([](Communicator& comm) {
+      if (comm.rank() == 1) {
+        comm.send(0, 7, std::vector<float>{1.0f});
+        throw Error("rank 1 died");
+      }
+      EXPECT_THROW(
+          { while (!comm.probe(1, 8)) std::this_thread::yield(); },
+          AbortedError);
+      EXPECT_TRUE(comm.probe(1, 7));
+      EXPECT_EQ(comm.recv(1, 7), std::vector<float>{1.0f});
     });
     FAIL() << "run() must rethrow";
   } catch (const AbortedError&) {

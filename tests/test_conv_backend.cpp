@@ -130,29 +130,32 @@ std::vector<float> reference_backward_filter(
 
 // ---- registry --------------------------------------------------------------
 
-TEST(ConvBackendRegistry, AllFourKindsRegistered) {
+TEST(ConvBackendRegistry, AllThreeKindsRegistered) {
   const auto& table = gemm::all_backends();
-  ASSERT_EQ(table.size(), 4u);
+  ASSERT_EQ(table.size(), 3u);
   EXPECT_EQ(table[0]->kind(), ConvBackendKind::kIm2col);
   EXPECT_EQ(table[1]->kind(), ConvBackendKind::kWinograd);
-  EXPECT_EQ(table[2]->kind(), ConvBackendKind::kDirect);
-  EXPECT_EQ(table[3]->kind(), ConvBackendKind::kSubpixel);
+  EXPECT_EQ(table[2]->kind(), ConvBackendKind::kSubpixel);
   for (const auto* b : table) {
     EXPECT_EQ(&gemm::backend(b->kind()), b);
   }
 }
 
-TEST(ConvBackendRegistry, RetiredCodeTwoNamesNoBackend) {
-  // Value 2 stays unused so that 0, 1, 3 and 4 keep their meaning in
-  // perf records and tune::Space codes; it must not resolve to a backend.
+TEST(ConvBackendRegistry, RetiredCodesTwoAndThreeNameNoBackend) {
+  // Values 2 (FFT) and 3 (direct loops) stay unused so that 0, 1 and 4
+  // keep their meaning in perf records and tune::Space codes; neither may
+  // resolve to a backend, and neither retired name parses.
   EXPECT_EQ(static_cast<int>(ConvBackendKind::kIm2col), 0);
   EXPECT_EQ(static_cast<int>(ConvBackendKind::kWinograd), 1);
-  EXPECT_EQ(static_cast<int>(ConvBackendKind::kDirect), 3);
   EXPECT_EQ(static_cast<int>(ConvBackendKind::kSubpixel), 4);
-  const auto retired = static_cast<ConvBackendKind>(2);
-  EXPECT_STREQ(gemm::to_string(retired), "unknown");
-  PF15_EXPECT_CHECK_FAIL(gemm::backend(retired), "unknown ConvBackendKind 2");
+  for (const int code : {2, 3}) {
+    const auto retired = static_cast<ConvBackendKind>(code);
+    EXPECT_STREQ(gemm::to_string(retired), "unknown");
+    PF15_EXPECT_CHECK_FAIL(gemm::backend(retired),
+                           "unknown ConvBackendKind " + std::to_string(code));
+  }
   EXPECT_FALSE(gemm::parse_backend("fft").has_value());
+  EXPECT_FALSE(gemm::parse_backend("direct").has_value());
 }
 
 TEST(ConvBackendRegistry, NamesRoundTrip) {
@@ -178,12 +181,10 @@ TEST(ConvBackendRegistry, WinogradApplicabilityIs3x3Stride1) {
   EXPECT_TRUE(winograd.applicable(make_problem(2, 3, 8, 3, 1, 1)));
   EXPECT_FALSE(winograd.applicable(make_problem(2, 3, 8, 5, 1, 2)));
   EXPECT_FALSE(winograd.applicable(make_problem(2, 3, 8, 3, 2, 1)));
-  // im2col and direct apply everywhere, every phase.
-  for (auto kind : {ConvBackendKind::kIm2col, ConvBackendKind::kDirect}) {
-    for (const ConvPhase phase : gemm::kAllConvPhases) {
-      EXPECT_TRUE(gemm::backend(kind).applicable(
-          make_problem(2, 3, 8, 5, 3, 2), phase));
-    }
+  // im2col applies everywhere, every phase.
+  for (const ConvPhase phase : gemm::kAllConvPhases) {
+    EXPECT_TRUE(gemm::backend(ConvBackendKind::kIm2col)
+                    .applicable(make_problem(2, 3, 8, 5, 3, 2), phase));
   }
 }
 
@@ -205,18 +206,18 @@ TEST(ConvBackendRegistry, WinogradBackwardDataNeedsPadAtMost2) {
 TEST(ConvBackendRegistry, ApplicableBackendsFilters) {
   const auto for_5x5 =
       gemm::applicable_backends(make_problem(2, 3, 9, 5, 2, 2));
-  ASSERT_EQ(for_5x5.size(), 2u);  // im2col and direct
+  ASSERT_EQ(for_5x5.size(), 1u);  // im2col
   const auto for_3x3 =
       gemm::applicable_backends(make_problem(2, 3, 9, 3, 1, 1));
-  EXPECT_EQ(for_3x3.size(), 3u);
+  EXPECT_EQ(for_3x3.size(), 2u);  // im2col and Winograd
   // Backward: the full field stays in the race.
   const auto bwd_3x3 = gemm::applicable_backends(
       make_problem(2, 3, 9, 3, 1, 1), ConvPhase::kBackwardData);
-  EXPECT_EQ(bwd_3x3.size(), 3u);
+  EXPECT_EQ(bwd_3x3.size(), 2u);
   // Winograd declines backward-data at pad 3.
   const auto bwd_pad3 = gemm::applicable_backends(
       make_problem(2, 3, 9, 3, 1, 3), ConvPhase::kBackwardData);
-  EXPECT_EQ(bwd_pad3.size(), 2u);
+  EXPECT_EQ(bwd_pad3.size(), 1u);
 }
 
 TEST(ConvBackendRegistry, SubpixelNeedsKernel2PadPlusStrideAndStrideDivPad) {
@@ -403,24 +404,6 @@ TEST(ConvBackendPrep, WinogradPreparedBackwardDataMatchesUnprepared) {
             << "h=" << h << " pad=" << pad << " element " << i;
       }
     }
-  }
-}
-
-TEST(ConvBackendPrep, BackendsWithoutBackwardPrepFallBack) {
-  // The base contract: null prep is allowed and means "no prep" — the
-  // direct loops have nothing to precompute, and the prepared entry
-  // point must still compute the exact same gradient.
-  const auto& direct = gemm::backend(gemm::ConvBackendKind::kDirect);
-  const gemm::ConvProblem p = make_problem(2, 3, 7, 3, 1, 1);
-  const ConvOperands ops = random_operands(p, 0xfa11);
-  EXPECT_EQ(direct.prepare_backward_data(p, ops.weight.data()), nullptr);
-  std::vector<float> plain(p.geom.in_c * 7 * 7, 0.0f);
-  direct.backward_data(p, ops.dout.data(), ops.weight.data(), plain.data());
-  std::vector<float> prepared(plain.size(), 1.0f);
-  direct.backward_data_prepared(p, nullptr, ops.dout.data(),
-                                ops.weight.data(), prepared.data());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    ASSERT_EQ(prepared[i], plain[i]) << "element " << i;
   }
 }
 
@@ -702,7 +685,9 @@ class CountingBackend final : public gemm::ConvBackend {
   struct Prep final : gemm::ConvPrep {};
   mutable int prepares = 0, prepared_calls = 0, plain_calls = 0;
 
-  ConvBackendKind kind() const override { return ConvBackendKind::kDirect; }
+  ConvBackendKind kind() const override {
+    return ConvBackendKind::kWinograd;
+  }
   bool applicable(const gemm::ConvProblem&, ConvPhase) const override {
     return true;
   }
@@ -735,6 +720,10 @@ class CountingBackend final : public gemm::ConvBackend {
                               const float*, float*) const override {
     EXPECT_NE(prep, nullptr);
     ++prepared_calls;
+  }
+  void backward_filter(const gemm::ConvProblem&, const float*, const float*,
+                       float*) const override {
+    ++plain_calls;
   }
   std::uint64_t flops(const gemm::ConvProblem&, ConvPhase) const override {
     return 1;
@@ -802,17 +791,18 @@ TEST(PlanCache, InsertOverridesTheTunedPlan) {
   gemm::ConvPlanCache cache(fast_tune());
   const gemm::ConvProblem p = make_problem(2, 3, 10, 3, 1, 1);
   gemm::ConvPlan forced;
-  forced.kind = ConvBackendKind::kDirect;
+  forced.kind = ConvBackendKind::kWinograd;
   forced.tuned = false;
   cache.insert(p, forced);
-  EXPECT_EQ(cache.plan(p).kind, ConvBackendKind::kDirect);
+  EXPECT_EQ(cache.plan(p).kind, ConvBackendKind::kWinograd);
   EXPECT_FALSE(cache.plan(p).tuned);
   // Per-phase insert only touches its phase.
   gemm::ConvPlan bwd;
-  bwd.kind = ConvBackendKind::kWinograd;
+  bwd.kind = ConvBackendKind::kIm2col;
   cache.insert(p, ConvPhase::kBackwardData, bwd);
   EXPECT_EQ(cache.lookup(p, ConvPhase::kBackwardData)->kind,
-            ConvBackendKind::kWinograd);
+            ConvBackendKind::kIm2col);
+  EXPECT_EQ(cache.lookup(p)->kind, ConvBackendKind::kWinograd);
   EXPECT_FALSE(cache.lookup(p, ConvPhase::kBackwardFilter).has_value());
 }
 
@@ -865,20 +855,6 @@ TEST(PreparedForward, WinogradPrepMatchesPlainForwardBothTiles) {
       EXPECT_EQ(plain[i], prepped[i]) << "element " << i << " hw " << hw;
     }
   }
-}
-
-TEST(PreparedForward, BackendsWithoutPrepFallBackToPlainForward) {
-  const gemm::ConvProblem p = make_problem(2, 3, 6, 3, 1, 1);
-  const ConvOperands ops = random_operands(p, 0xabcdu);
-  const gemm::ConvBackend& direct = gemm::backend(ConvBackendKind::kDirect);
-  EXPECT_EQ(direct.prepare_forward(p, ops.weight.data()), nullptr);
-  const std::size_t out_n = p.out_c * p.geom.lowered_cols();
-  std::vector<float> plain(out_n), prepped(out_n);
-  direct.forward(p, ops.image.data(), ops.weight.data(), ops.bias.data(),
-                 plain.data());
-  direct.forward_prepared(p, nullptr, ops.image.data(), ops.weight.data(),
-                          ops.bias.data(), prepped.data());
-  for (std::size_t i = 0; i < out_n; ++i) EXPECT_EQ(plain[i], prepped[i]);
 }
 
 // ---- plan cache persistence ------------------------------------------------
@@ -936,7 +912,10 @@ TEST(PlanCachePersistence, SaveMergesWithPlansAlreadyOnDisk) {
   gemm::ConvPlanCache second(fast_tune());
   second.plan(b);  // never saw `a`
   gemm::ConvPlan forced;
-  forced.kind = ConvBackendKind::kDirect;
+  // A backend the first race did not pick, so a leaked override shows.
+  forced.kind = first.lookup(a)->kind == ConvBackendKind::kWinograd
+                    ? ConvBackendKind::kIm2col
+                    : ConvBackendKind::kWinograd;
   forced.tuned = false;
   second.insert(a, forced);  // local override of `a`, not a measurement
   second.save(path);
@@ -1155,30 +1134,38 @@ std::string handwritten_decoder_plan(int version, const char* backend) {
   return doc.str();
 }
 
-TEST(PlanCachePersistence, VersionFourFileIsRejectedThenRetuned) {
+TEST(PlanCachePersistence, StaleFilesAreRejectedThenRetuned) {
   // Files tuned before the sub-pixel backend joined the race carry
   // version 4 and name im2col for the decoder's deconvolutions; version-5
   // files hold plans timed with backend fan-out, keyed by execution mode
-  // and batch bucket. Both fail the version check with a named IoError
-  // and leave the cache empty, so those problems tune again serially
-  // with sub-pixel among the candidates.
+  // and batch bucket. Both fail the version check. The direct-loop
+  // backend left without a version bump, so a current-version file
+  // naming it fails by name. Each file is rejected with a named IoError
+  // and leaves the cache empty, so the problem tunes again serially among
+  // the backends that remain.
   const gemm::ConvProblem decoder = make_problem(16, 32, 32, 6, 2, 2);
-  for (const int version : {4, 5}) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    const std::string path = temp_cache_path(version == 4 ? "v4" : "v5");
+  const struct {
+    int version;
+    const char* backend;
+    const char* error;
+  } files[] = {
+      {4, "im2col", "format version 4 != expected 6"},
+      {5, "im2col", "format version 5 != expected 6"},
+      {gemm::kConvPlanCacheVersion, "direct", "unknown backend 'direct'"},
+  };
+  for (const auto& f : files) {
+    SCOPED_TRACE(f.error);
+    const std::string path = temp_cache_path("stale");
     {
       std::ofstream out(path);
-      out << handwritten_decoder_plan(version, "im2col");
+      out << handwritten_decoder_plan(f.version, f.backend);
     }
     gemm::ConvPlanCache cache(fast_tune());
     try {
       cache.load(path);
-      ADD_FAILURE() << "old-version file was accepted";
+      ADD_FAILURE() << "stale file was accepted";
     } catch (const IoError& e) {
-      EXPECT_NE(std::string(e.what()).find(
-                    "format version " + std::to_string(version) +
-                    " != expected 6"),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(f.error), std::string::npos)
           << e.what();
     }
     EXPECT_EQ(cache.size(), 0u);
@@ -1186,8 +1173,8 @@ TEST(PlanCachePersistence, VersionFourFileIsRejectedThenRetuned) {
     EXPECT_EQ(cache.misses(), 1u);
     std::remove(path.c_str());
   }
-  // The version is the only defect: the same entry at the current version
-  // loads.
+  // The version or the backend name is the only defect: the same entry at
+  // the current version naming im2col loads.
   gemm::ConvPlanCache current(fast_tune());
   current.load_document(
       handwritten_decoder_plan(gemm::kConvPlanCacheVersion, "im2col"),
@@ -1258,8 +1245,7 @@ TEST(Conv2dDispatch, EveryForcedBackendMatchesIm2colThroughSequential) {
 
   nn::Sequential reference = build(nn::ConvAlgo::kIm2col);
   const Tensor& ref_out = reference.forward(input);
-  for (auto algo : {nn::ConvAlgo::kWinograd, nn::ConvAlgo::kDirect,
-                    nn::ConvAlgo::kAuto}) {
+  for (auto algo : {nn::ConvAlgo::kWinograd, nn::ConvAlgo::kAuto}) {
     nn::Sequential net = build(algo);
     const Tensor& out = net.forward(input);
     ASSERT_EQ(out.shape(), ref_out.shape());
@@ -1281,7 +1267,6 @@ TEST(Conv2dDispatch, ForcedBackendsReportThemselvesEveryPhase) {
   } cases[] = {
       {nn::ConvAlgo::kIm2col, ConvBackendKind::kIm2col},
       {nn::ConvAlgo::kWinograd, ConvBackendKind::kWinograd},
-      {nn::ConvAlgo::kDirect, ConvBackendKind::kDirect},
   };
   for (const auto& c : cases) {
     Rng rng(7);
@@ -1311,35 +1296,35 @@ TEST(Conv2dDispatch, AutoResolvesThroughGlobalPlanCachePerPhase) {
   // Pre-seed the cache so the test controls the plans instead of timing —
   // a different backend per phase proves the phases dispatch separately.
   gemm::ConvPlan fwd;
-  fwd.kind = ConvBackendKind::kDirect;
+  fwd.kind = ConvBackendKind::kWinograd;
   gemm::ConvPlanCache::global().insert(p, ConvPhase::kForward, fwd);
   gemm::ConvPlan bwd_data;
-  bwd_data.kind = ConvBackendKind::kWinograd;
+  bwd_data.kind = ConvBackendKind::kIm2col;
   gemm::ConvPlanCache::global().insert(p, ConvPhase::kBackwardData,
                                        bwd_data);
   gemm::ConvPlan bwd_filter;
-  bwd_filter.kind = ConvBackendKind::kIm2col;
+  bwd_filter.kind = ConvBackendKind::kWinograd;
   gemm::ConvPlanCache::global().insert(p, ConvPhase::kBackwardFilter,
                                        bwd_filter);
 
-  EXPECT_EQ(conv.forward_backend(in_shape), ConvBackendKind::kDirect);
+  EXPECT_EQ(conv.forward_backend(in_shape), ConvBackendKind::kWinograd);
   Tensor input(in_shape), out, din;
   input.fill_uniform(rng, -1.0f, 1.0f);
   conv.forward(input, out);
-  EXPECT_EQ(conv.last_forward_backend(), ConvBackendKind::kDirect);
+  EXPECT_EQ(conv.last_forward_backend(), ConvBackendKind::kWinograd);
   Tensor dout(out.shape());
   dout.fill_uniform(rng, -1.0f, 1.0f);
   conv.backward(input, dout, din);
-  EXPECT_EQ(conv.last_backward_data_backend(), ConvBackendKind::kWinograd);
-  EXPECT_EQ(conv.last_backward_filter_backend(), ConvBackendKind::kIm2col);
+  EXPECT_EQ(conv.last_backward_data_backend(), ConvBackendKind::kIm2col);
+  EXPECT_EQ(conv.last_backward_filter_backend(), ConvBackendKind::kWinograd);
   // flops follow the dispatched backends.
   EXPECT_EQ(conv.forward_flops(in_shape),
-            gemm::backend(ConvBackendKind::kDirect).flops(p) +
+            gemm::backend(ConvBackendKind::kWinograd).flops(p) +
                 p.geom.lowered_cols() * p.out_c);
   EXPECT_EQ(conv.backward_flops(in_shape),
-            gemm::backend(ConvBackendKind::kWinograd)
+            gemm::backend(ConvBackendKind::kIm2col)
                     .flops(p, ConvPhase::kBackwardData) +
-                gemm::backend(ConvBackendKind::kIm2col)
+                gemm::backend(ConvBackendKind::kWinograd)
                     .flops(p, ConvPhase::kBackwardFilter) +
                 p.geom.lowered_cols() * p.out_c);
 }
@@ -1371,7 +1356,7 @@ TEST(Conv2dDispatch, BatchParallelForwardMatchesPerImageForward) {
   // The batch > 1 path fans images across the thread pool; it must be
   // bit-identical to serial single-image forwards of the same layer.
   Rng rng(21);
-  nn::Conv2d conv("c", conv_config(3, 6, 3, 1, 1, nn::ConvAlgo::kDirect),
+  nn::Conv2d conv("c", conv_config(3, 6, 3, 1, 1, nn::ConvAlgo::kIm2col),
                   rng);
   const std::size_t n = 9;
   Tensor batch(Shape{n, 3, 13, 13});
@@ -1450,29 +1435,16 @@ TEST_P(DispatchGradient, LayerGradientsAreExact) {
   testing::check_layer_gradients(conv, input, opt);
 }
 
-// Odd/even spatial sizes and pads 0/1 for the Winograd and direct
-// backward kernels. The spatial size also selects the Winograd tile:
-// out < 6 runs F(2x2,3x3), out >= 6 runs F(4x4,3x3), so both tiles get a
-// full layer-level gradient check.
+// Odd/even spatial sizes and pads 0/1 for the Winograd backward kernels.
+// The spatial size also selects the Winograd tile: out < 6 runs
+// F(2x2,3x3), out >= 6 runs F(4x4,3x3), so both tiles get a full
+// layer-level gradient check.
 INSTANTIATE_TEST_SUITE_P(
-    WinogradAndDirect, DispatchGradient,
+    Winograd, DispatchGradient,
     ::testing::Values(GradientCase{5, 0, nn::ConvAlgo::kWinograd},   // F2x2
                       GradientCase{6, 1, nn::ConvAlgo::kWinograd},   // F4x4
                       GradientCase{8, 0, nn::ConvAlgo::kWinograd},   // F4x4
-                      GradientCase{9, 1, nn::ConvAlgo::kWinograd},   // odd
-                      GradientCase{5, 1, nn::ConvAlgo::kDirect},
-                      GradientCase{8, 0, nn::ConvAlgo::kDirect},
-                      GradientCase{9, 0, nn::ConvAlgo::kDirect},
-                      GradientCase{10, 1, nn::ConvAlgo::kDirect}));
-
-TEST(Conv2dDispatch, StridedDirectBackwardGradientCheck) {
-  Rng rng(33);
-  nn::Conv2d conv("c", conv_config(2, 3, 3, 2, 1, nn::ConvAlgo::kDirect),
-                  rng);
-  Tensor input(Shape{2, 2, 9, 9});
-  input.fill_uniform(rng, -1.0f, 1.0f);
-  testing::check_layer_gradients(conv, input);
-}
+                      GradientCase{9, 1, nn::ConvAlgo::kWinograd})); // odd
 
 // ---- Deconv2d through the shared dispatch ----------------------------------
 
@@ -1490,52 +1462,33 @@ nn::Deconv2dConfig deconv_config(std::size_t in_c, std::size_t out_c,
   return cfg;
 }
 
-TEST(Deconv2dDispatch, ForcedBackendsMatchIm2colForward) {
+TEST(Deconv2dDispatch, PinnedSubpixelMatchesIm2colForward) {
+  // The climate decoder's 6x6/2 pad 2 with sub-pixel pinned in the plan
+  // cache under kAuto, since it has no forcing value. The underlying
+  // convolution maps the 10 px deconv output (2 channels) onto its 5 px
+  // input (3 channels).
   const Shape in_shape{2, 3, 5, 5};
   Rng data_rng(17);
   Tensor input(in_shape);
   input.fill_uniform(data_rng, -1.0f, 1.0f);
-  // 3x3/2 pad 1, and the climate decoder's 6x6/2 pad 2 (where sub-pixel
-  // also applies). kAuto entries run a backend pinned in the plan cache.
-  const struct {
-    std::size_t kernel, pad;
-    std::vector<std::pair<nn::ConvAlgo, ConvBackendKind>> forced;
-  } cases[] = {
-      {3, 1, {{nn::ConvAlgo::kDirect, ConvBackendKind::kDirect}}},
-      {6, 2,
-       {{nn::ConvAlgo::kDirect, ConvBackendKind::kDirect},
-        {nn::ConvAlgo::kAuto, ConvBackendKind::kSubpixel}}},
+  const auto build = [](nn::ConvAlgo algo) {
+    Rng rng(55);
+    return nn::Deconv2d("d", deconv_config(3, 2, 6, 2, 2, algo), rng);
   };
-  for (const auto& c : cases) {
-    const auto build = [&](nn::ConvAlgo algo) {
-      Rng rng(55);
-      return nn::Deconv2d("d", deconv_config(3, 2, c.kernel, 2, c.pad, algo),
-                          rng);
-    };
-    nn::Deconv2d reference = build(nn::ConvAlgo::kIm2col);
-    Tensor ref_out;
-    reference.forward(input, ref_out);
-    for (const auto& [algo, kind] : c.forced) {
-      SCOPED_TRACE(std::string(gemm::to_string(kind)) + " kernel " +
-                   std::to_string(c.kernel));
-      // The underlying convolution maps the 10 px deconv output
-      // (2 channels) onto its 5 px input (3 channels).
-      std::optional<testing::PinnedConvPlans> pin;
-      if (algo == nn::ConvAlgo::kAuto) {
-        pin.emplace(make_problem(2, 3, 10, c.kernel, 2, c.pad), kind);
-      }
-      // The layer's forward is the convolution's backward-data phase.
-      nn::Deconv2d deconv = build(algo);
-      EXPECT_EQ(deconv.phase_backend(in_shape, ConvPhase::kBackwardData),
-                kind);
-      Tensor out;
-      deconv.forward(input, out);
-      ASSERT_EQ(out.shape(), ref_out.shape());
-      for (std::size_t i = 0; i < out.numel(); ++i) {
-        ASSERT_NEAR(out.data()[i], ref_out.data()[i], 1e-4f)
-            << "element " << i;
-      }
-    }
+  nn::Deconv2d reference = build(nn::ConvAlgo::kIm2col);
+  Tensor ref_out;
+  reference.forward(input, ref_out);
+  const testing::PinnedConvPlans pin(make_problem(2, 3, 10, 6, 2, 2),
+                                     ConvBackendKind::kSubpixel);
+  nn::Deconv2d deconv = build(nn::ConvAlgo::kAuto);
+  // The layer's forward is the convolution's backward-data phase.
+  EXPECT_EQ(deconv.phase_backend(in_shape, ConvPhase::kBackwardData),
+            ConvBackendKind::kSubpixel);
+  Tensor out;
+  deconv.forward(input, out);
+  ASSERT_EQ(out.shape(), ref_out.shape());
+  for (std::size_t i = 0; i < out.numel(); ++i) {
+    ASSERT_NEAR(out.data()[i], ref_out.data()[i], 1e-4f) << "element " << i;
   }
 }
 
@@ -1563,9 +1516,8 @@ TEST(Deconv2dDispatch, GradientCheckAtStride2) {
     std::size_t kernel, pad;
     std::vector<nn::ConvAlgo> algos;
   } cases[] = {
-      {3, 1, {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kDirect}},
-      {6, 2,
-       {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kDirect, nn::ConvAlgo::kAuto}},
+      {3, 1, {nn::ConvAlgo::kIm2col}},
+      {6, 2, {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kAuto}},
   };
   for (const auto& c : cases) {
     for (const nn::ConvAlgo algo : c.algos) {
@@ -1636,21 +1588,22 @@ TEST(ConvSpace, EncodesApplicableBackendsPerPhase) {
       }
     }
   }
-  // 3x3 stride-1 forward: im2col, winograd, direct.
-  EXPECT_EQ(tune::conv_backend_space(p).dimensions()[0].choices.size(), 3u);
-  // The decoder's 6x6/2 pad 2, every phase: im2col, direct, subpixel.
+  // 3x3 stride-1 forward: im2col, winograd.
+  EXPECT_EQ(tune::conv_backend_space(p).dimensions()[0].choices.size(), 2u);
+  // The decoder's 6x6/2 pad 2, every phase: im2col, subpixel.
   for (const ConvPhase phase : gemm::kAllConvPhases) {
     const tune::Space space = tune::conv_backend_space(decoder, phase);
     const auto& choices = space.dimensions()[0].choices;
-    ASSERT_EQ(choices.size(), 3u);
+    ASSERT_EQ(choices.size(), 2u);
     const auto subpixel = static_cast<int>(ConvBackendKind::kSubpixel);
     EXPECT_EQ(choices.back(), static_cast<double>(subpixel));
   }
 }
 
 TEST(ConvSpace, DecodeRejectsCodesOfNoRegisteredBackend) {
-  // Code 2 is retired; it must not pass the range check into backend().
-  for (double code : {2.0, -1.0, 5.0}) {
+  // Codes 2 and 3 are retired; they must not pass the range check into
+  // backend().
+  for (double code : {2.0, 3.0, -1.0, 5.0}) {
     tune::Config config{{tune::kConvBackendDim, code}};
     PF15_EXPECT_CHECK_FAIL(tune::decode_backend(config),
                            "names no registered backend");

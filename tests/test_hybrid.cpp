@@ -285,6 +285,42 @@ TEST(HybridTrainer, TwoGroupsBothMakeProgress) {
   EXPECT_EQ(result.staleness.updates, 6u * 2u * 6u);
 }
 
+/// The tiny HEP model whose second train_step throws.
+class FailingTrainable final : public TrainableModel {
+ public:
+  double train_step(const data::Batch& batch) override {
+    if (++steps_ == 2) throw Error("worker step failed");
+    return model_.train_step(batch);
+  }
+  std::vector<nn::Param> params() override { return model_.params(); }
+
+ private:
+  HepTrainable model_{tiny_net_config()};
+  int steps_ = 0;
+};
+
+TEST(HybridTrainer, WorkerFailureEndsTwoGroupRunWithItsError) {
+  // With two groups the parameter-server ranks poll for updates. A worker
+  // that throws must end the run with its own error, not leave the
+  // servers polling forever.
+  HybridConfig cfg;
+  cfg.num_workers = 2;
+  cfg.num_groups = 2;
+  cfg.iterations = 4;
+  cfg.solver = SolverKind::kSgd;
+  HybridTrainer trainer(
+      cfg, [] { return std::make_unique<FailingTrainable>(); },
+      hep_batches());
+  try {
+    trainer.run();
+    FAIL() << "run() must rethrow the worker's error";
+  } catch (const AbortedError&) {
+    FAIL() << "the root cause must win over the secondary aborts";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "worker step failed");
+  }
+}
+
 TEST(HybridTrainer, StalenessObservedWithConcurrentGroups) {
   HybridConfig cfg;
   cfg.num_workers = 4;

@@ -718,8 +718,7 @@ struct ForcedBackend {
 };
 constexpr ForcedBackend kForcedBackends[] = {
     {ConvAlgo::kIm2col, gemm::ConvBackendKind::kIm2col},
-    {ConvAlgo::kWinograd, gemm::ConvBackendKind::kWinograd},
-    {ConvAlgo::kDirect, gemm::ConvBackendKind::kDirect}};
+    {ConvAlgo::kWinograd, gemm::ConvBackendKind::kWinograd}};
 /// 32x32 spreads the im2col filter GEMM's K = 1024 over four KC blocks;
 /// 8x8 (K = 64) fits in one.
 constexpr std::size_t kBackwardSides[] = {32, 8};
@@ -794,7 +793,6 @@ TEST(ImageParallelBackward, Deconv2dMatchesPerImagePasses) {
       {3, 1, 1, {std::begin(kForcedBackends), std::end(kForcedBackends)}},
       {6, 2, 2,
        {{ConvAlgo::kIm2col, gemm::ConvBackendKind::kIm2col},
-        {ConvAlgo::kDirect, gemm::ConvBackendKind::kDirect},
         {ConvAlgo::kAuto, gemm::ConvBackendKind::kSubpixel}}},
   };
   for (const auto& shape : shapes) {

@@ -275,7 +275,7 @@ TEST(HepModel, AutoDispatchAgreesWithIm2colBaselineForwardAndBackward) {
 
   // One training step: the per-phase backward dispatch must produce the
   // same parameter gradients the im2col adjoint does (fp tolerance; the
-  // Winograd/direct gradients carry their own gradcheck coverage).
+  // Winograd and sub-pixel gradients carry their own gradcheck coverage).
   Tensor dout(logits_ref.shape());
   dout.fill_uniform(rng, -1.0f, 1.0f);
   auto_net.zero_grad();

@@ -878,29 +878,35 @@ TEST(CompiledServing, VersionThreePlanSectionIsIgnoredAndRetuned) {
   }
 }
 
-TEST(CompiledServing, CurrentVersionPlanSectionNamingFftIsRejected) {
-  // "fft" is no longer a backend: a current-version section naming it
-  // is corrupt, not a plan to dispatch.
-  nn::Sequential net = nn::build_hep_network(nn::HepConfig::tiny());
-  std::stringstream stream(std::ios::in | std::ios::out |
-                           std::ios::binary);
-  serve::checkpoint_model(stream, net, "hep");
-  serve::write_embedded_plans(
-      stream, handwritten_plan_doc(gemm::kConvPlanCacheVersion, "fft"));
-  nn::Sequential restored = nn::build_hep_network(nn::HepConfig::tiny());
-  serve::restore_model(stream, restored, "hep");
-  const std::string plans = serve::read_embedded_plans(stream);
-  gemm::ConvPlanCache cache;
-  try {
-    cache.load_document(plans, "checkpoint");
-    ADD_FAILURE() << "a plan naming fft was accepted";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown backend 'fft'"),
-              std::string::npos)
-        << e.what();
+TEST(CompiledServing, CurrentVersionSectionNamingRetiredBackendIsRejected) {
+  // "fft" and "direct" are no longer backends: a current-version section
+  // naming either is corrupt, not a plan to dispatch.
+  for (const std::string retired : {"fft", "direct"}) {
+    SCOPED_TRACE(retired);
+    nn::Sequential net = nn::build_hep_network(nn::HepConfig::tiny());
+    std::stringstream stream(std::ios::in | std::ios::out |
+                             std::ios::binary);
+    serve::checkpoint_model(stream, net, "hep");
+    serve::write_embedded_plans(
+        stream,
+        handwritten_plan_doc(gemm::kConvPlanCacheVersion, retired.c_str()));
+    nn::Sequential restored = nn::build_hep_network(nn::HepConfig::tiny());
+    serve::restore_model(stream, restored, "hep");
+    const std::string plans = serve::read_embedded_plans(stream);
+    gemm::ConvPlanCache cache;
+    try {
+      cache.load_document(plans, "checkpoint");
+      ADD_FAILURE() << "a plan naming " << retired << " was accepted";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown backend '" + retired +
+                                           "'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(cache.size(), 0u);
   }
-  EXPECT_EQ(cache.size(), 0u);
   // The same section with a registered backend loads.
+  gemm::ConvPlanCache cache;
   cache.load_document(
       handwritten_plan_doc(gemm::kConvPlanCacheVersion, "im2col"),
       "checkpoint");
